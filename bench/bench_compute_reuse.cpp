@@ -150,7 +150,7 @@ int main() {
   timed("mc_predict/reuse+order", true, true, both_wl);
 
   // The pooled reuse engine: one window of frames, every refresh chain
-  // advancing step-synchronously over the pool. Dispatch accounting runs
+  // one work item of a single pooled dispatch. Dispatch accounting runs
   // through mc_predict_cim_jobs with 8 lock-step reuse sessions: the
   // ratio is how many serial-equivalent jobs shared the tick's single
   // pooled dispatch set (the frame-serial fallback used to pin it ~1).

@@ -456,53 +456,6 @@ int main() {
             sharded->matvec_batch(xs, {}, {}, id_pooled, &shard_pool);
         suite.add_summary("sharded_batch_affinity_bit_identity",
                           ys_serial == ys_pooled ? 1.0 : 0.0);
-        // The shard-affine delta fan-out must be equally invisible:
-        // pooled DeltaItem dispatch keys each item's per-shard noise
-        // streams off the item's own rng root in item order, so any
-        // worker partitioning is bit-identical to the serial item loop.
-        cimsram::EncodedInput denc;
-        sharded->encode_input(x, denc);
-        constexpr std::size_t kDeltaItems = 8;
-        std::vector<std::vector<std::size_t>> adds(kDeltaItems);
-        std::vector<std::vector<std::size_t>> rems(kDeltaItems);
-        core::Rng list_rng(7);
-        for (std::size_t k = 0; k < kDeltaItems; ++k) {
-          adds[k].push_back(k);  // at least one driven line per rail
-          rems[k].push_back(static_cast<std::size_t>(n) - 1 - k);
-          for (std::size_t r = kDeltaItems;
-               r + kDeltaItems < static_cast<std::size_t>(n); ++r) {
-            const double u = list_rng.uniform();
-            if (u < 0.15)
-              adds[k].push_back(r);
-            else if (u < 0.30)
-              rems[k].push_back(r);
-          }
-        }
-        const std::size_t dn = static_cast<std::size_t>(sharded->n_out());
-        std::vector<double> dy_serial(kDeltaItems * dn);
-        std::vector<double> dy_pooled(kDeltaItems * dn);
-        const auto run_delta = [&](std::vector<double>& dy,
-                                   core::ThreadPool* pool) {
-          std::vector<core::Rng> rngs;
-          rngs.reserve(kDeltaItems);
-          for (std::size_t k = 0; k < kDeltaItems; ++k)
-            rngs.emplace_back(123 + k);
-          std::vector<cimsram::DeltaItem> items(kDeltaItems);
-          for (std::size_t k = 0; k < kDeltaItems; ++k) {
-            items[k].enc = &denc;
-            items[k].add_rows = adds[k].data();
-            items[k].n_add = adds[k].size();
-            items[k].rem_rows = rems[k].data();
-            items[k].n_rem = rems[k].size();
-            items[k].rng = &rngs[k];
-            items[k].y = dy.data() + k * dn;
-          }
-          sharded->matvec_delta_batch(items.data(), kDeltaItems, pool);
-        };
-        run_delta(dy_serial, nullptr);
-        run_delta(dy_pooled, &shard_pool);
-        suite.add_summary("sharded_delta_affinity_bit_identity",
-                          dy_serial == dy_pooled ? 1.0 : 0.0);
       }
     }
   }

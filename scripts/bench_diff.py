@@ -49,9 +49,6 @@ TRACKED = {
         # Shard-affine pooled dispatch must keep producing the same bits
         # as the serial sample-major schedule (rng keys preserved).
         "sharded_batch_affinity_bit_identity": "stable",
-        # Same invisibility gate for the pooled DeltaItem fan-out
-        # (compute-reuse dispatch shape) on the sharded grid.
-        "sharded_delta_affinity_bit_identity": "stable",
         # Conformance sweep embedded in bench_micro (quick tier): every
         # case must pass, and dropping a registered backend from the
         # sweep is a regression.

@@ -254,9 +254,9 @@ std::size_t mc_predict_cim_jobs(
     const std::function<void(std::size_t)>& side_item) {
   // Every job batches: dense jobs share ONE forward_window (one pooled
   // macro dispatch per layer over every (job, frame, iteration) item) and
-  // compute-reuse jobs share ONE forward_reuse_window (their refresh
-  // chains advance step-synchronously across every (job, frame), with the
-  // per-step delta matvecs pooled into one sparse batch). Per job, masks
+  // compute-reuse jobs share ONE forward_reuse_window (one pooled
+  // dispatch with every refresh chain of every (job, frame) as a work
+  // item). Per job, masks
   // and noise roots are drawn from that job's own sources in frame order,
   // so each job's predictions depend only on its own sources — never on
   // which other sessions share the dispatch.

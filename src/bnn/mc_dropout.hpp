@@ -55,9 +55,7 @@ struct McOptions {
   int reuse_refresh_interval = 8;
   /// Worker pool for the CIM paths (nullptr = serial). Dense iterations
   /// fan out individually; with compute_reuse, every refresh-delimited
-  /// chain advances step-synchronously through the pooled engine — at
-  /// chain position k one dispatch carries every chain's step-k work —
-  /// while each chain's accumulation stays a serial index-order sum (the
+  /// chain is one work item that runs its accumulation serially (the
   /// delta rule is inherently serial *within* a chain). Analog-noise
   /// streams are keyed on iteration/chain indices, so predictions are
   /// bit-identical at any thread count.
@@ -108,8 +106,8 @@ McPrediction mc_predict_cim(const nn::CimMlp& net, const nn::Vector& x,
 /// frame-by-frame, at any thread count and any window size. With
 /// compute_reuse, every frame's refresh chains batch through the
 /// chain-parallel engine (CimMlp::forward_reuse_window): chains are
-/// frame-local, but their step-k delta matvecs pool across the whole
-/// window in one sparse dispatch.
+/// frame-local, and every chain of the window is one work item of a
+/// single pooled dispatch.
 ///
 /// `side_items`/`side_item` append side work to the window's widest macro
 /// dispatch (layer 0): side_item(k) runs once per k < side_items,
@@ -162,9 +160,9 @@ struct McWindowJob {
 /// alone, at any job count, thread count and window partition. Jobs with
 /// compute_reuse batch the same way through the chain-parallel reuse
 /// engine (CimMlp::forward_reuse_window): every refresh chain of every
-/// (job, frame) advances step-synchronously, with per-chain noise keyed
-/// on (frame noise root, chain index) exactly like the serial chain
-/// loop — no frame-serial special case remains.
+/// (job, frame) is one work item of a single pooled dispatch, with
+/// per-chain noise keyed on (frame noise root, chain index) — no
+/// frame-serial special case remains.
 ///
 /// Steady-state allocation-free once warm on both paths (per-thread
 /// grow-only scratch; callers own preds/frame_workloads storage).

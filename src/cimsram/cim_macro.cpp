@@ -77,16 +77,6 @@ void pack_row_mask(const std::vector<std::uint8_t>& mask, int n_rows,
   }
 }
 
-void pack_rows(const std::vector<std::size_t>& rows, int n_rows,
-               std::vector<std::uint64_t>& gate) {
-  const std::size_t words = static_cast<std::size_t>((n_rows + 63) / 64);
-  gate.assign(words, 0);
-  for (std::size_t i : rows) {
-    CIMNAV_REQUIRE(i < static_cast<std::size_t>(n_rows), "row out of range");
-    gate[i / 64] |= (std::uint64_t{1} << (i % 64));
-  }
-}
-
 CimMacro::CimMacro(const std::vector<double>& weights, int n_out, int n_in,
                    const CimMacroConfig& config, double input_scale,
                    double weight_scale_override)
@@ -381,14 +371,15 @@ void CimMacro::run_view_delta(const std::uint64_t* planes,
   account(1, active_rows, count_active_cols(out_mask));
 }
 
-void CimMacro::run_delta(const EncodedInput& enc, const std::size_t* add_rows,
-                         std::size_t n_add, const std::size_t* rem_rows,
-                         std::size_t n_rem, core::Rng& rng,
-                         MacroWorkspace& ws, double* y) const {
+void CimMacro::matvec_delta(const EncodedInput& enc,
+                            const std::size_t* add_rows, std::size_t n_add,
+                            const std::size_t* rem_rows, std::size_t n_rem,
+                            core::Rng& rng, std::vector<double>& y) const {
   CIMNAV_REQUIRE(enc.planes.size() ==
                      static_cast<std::size_t>(config_.input_bits) *
                          static_cast<std::size_t>(words_),
                  "encoded input shape mismatch");
+  MacroWorkspace& ws = tls_workspace();
   const std::size_t words = static_cast<std::size_t>(words_);
   const auto pack = [&](std::vector<std::uint64_t>& gate,
                         const std::size_t* rows, std::size_t n) {
@@ -408,39 +399,13 @@ void CimMacro::run_delta(const EncodedInput& enc, const std::size_t* add_rows,
   for (std::size_t w = 0; w < words; ++w)
     if ((ws.gate[w] | ws.gate_rem[w]) != 0)
       ws.word_list.push_back(static_cast<std::int32_t>(w));
+  y.resize(static_cast<std::size_t>(n_out_));
   run_view_delta(enc.planes.data(), words,
                  n_add > 0 ? ws.gate.data() : nullptr,
                  n_rem > 0 ? ws.gate_rem.data() : nullptr,
                  ws.word_list.data(), static_cast<int>(ws.word_list.size()),
                  nullptr, /*ideal=*/false, /*unit_scale=*/false, &rng, ws,
-                 y);
-}
-
-void CimMacro::matvec_delta(const EncodedInput& enc,
-                            const std::size_t* add_rows, std::size_t n_add,
-                            const std::size_t* rem_rows, std::size_t n_rem,
-                            core::Rng& rng, std::vector<double>& y) const {
-  y.resize(static_cast<std::size_t>(n_out_));
-  run_delta(enc, add_rows, n_add, rem_rows, n_rem, rng, tls_workspace(),
-            y.data());
-}
-
-void CimMacro::matvec_delta_batch(const DeltaItem* items, std::size_t n_items,
-                                  core::ThreadPool* pool) const {
-  const auto run_items = [&](std::size_t begin, std::size_t end, int) {
-    MacroWorkspace& ws = tls_workspace();
-    for (std::size_t k = begin; k < end; ++k) {
-      const DeltaItem& it = items[k];
-      ScopedStatsCapture capture(it.stats);
-      run_delta(*it.enc, it.add_rows, it.n_add, it.rem_rows, it.n_rem,
-                *it.rng, ws, it.y);
-    }
-  };
-  if (pool != nullptr && n_items > 1) {
-    pool->parallel_for(n_items, 1, run_items);
-  } else {
-    run_items(0, n_items, 0);
-  }
+                 y.data());
 }
 
 void CimMacro::run_gated(const EncodedInput& enc,
@@ -479,16 +444,6 @@ void CimMacro::matvec_encoded(const EncodedInput& enc,
             y);
 }
 
-std::vector<double> CimMacro::matvec_gated(
-    const std::vector<double>& x, const std::vector<std::uint64_t>& row_gate,
-    const std::vector<std::uint8_t>& out_mask, core::Rng& rng) const {
-  MacroWorkspace& ws = tls_workspace();
-  encode_input(x, ws.enc);
-  std::vector<double> y;
-  run_gated(ws.enc, row_gate, out_mask, /*ideal=*/false, &rng, ws, y);
-  return y;
-}
-
 std::vector<double> CimMacro::matvec(const std::vector<double>& x,
                                      const std::vector<std::uint8_t>& in_mask,
                                      const std::vector<std::uint8_t>& out_mask,
@@ -499,17 +454,6 @@ std::vector<double> CimMacro::matvec(const std::vector<double>& x,
   MacroWorkspace& ws = tls_workspace();
   encode_input(x, ws.enc);
   pack_row_mask(in_mask, n_in_, ws.gate);
-  std::vector<double> y;
-  run_gated(ws.enc, ws.gate, out_mask, /*ideal=*/false, &rng, ws, y);
-  return y;
-}
-
-std::vector<double> CimMacro::matvec_rows(
-    const std::vector<double>& x, const std::vector<std::size_t>& rows,
-    const std::vector<std::uint8_t>& out_mask, core::Rng& rng) const {
-  MacroWorkspace& ws = tls_workspace();
-  encode_input(x, ws.enc);
-  pack_rows(rows, n_in_, ws.gate);
   std::vector<double> y;
   run_gated(ws.enc, ws.gate, out_mask, /*ideal=*/false, &rng, ws, y);
   return y;

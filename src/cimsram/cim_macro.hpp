@@ -153,11 +153,6 @@ struct MacroWorkspace {
 void pack_row_mask(const std::vector<std::uint8_t>& mask, int n_rows,
                    std::vector<std::uint64_t>& gate);
 
-/// Packs an explicit row-index list into word-line gate words. Indices
-/// must lie in [0, n_rows); duplicates are idempotent.
-void pack_rows(const std::vector<std::size_t>& rows, int n_rows,
-               std::vector<std::uint64_t>& gate);
-
 /// Shared encoder behind every MacroLike: quantizes `x` onto the unsigned
 /// grid q = clamp(round(x * inv_input_scale), 0, 2^input_bits - 1) and
 /// expands the codes into packed bit planes (ceil(n_in / 64) words each).
@@ -178,27 +173,6 @@ struct MacroGeometry {
   int planes = 0;     ///< weight magnitude planes (weight_bits - 1)
   int grid_rows = 1;  ///< physical shard grid (1 x 1 = monolithic)
   int grid_cols = 1;
-};
-
-/// One pooled delta-dispatch work item (compute reuse): a differential
-/// read of `enc` — the `n_add` word lines in `add_rows` (mask bits that
-/// flipped on) drive positively, the `n_rem` lines in `rem_rows` (bits
-/// that flipped off) drive the complementary bit-lines — writing the net
-/// signed partial sum W x|A - W x|D to `y` (n_out values) in ONE macro
-/// operation. Analog noise comes from `*rng`. When `stats` is non-null
-/// the item's exact accounting is mirrored there (ScopedStatsCapture
-/// semantics) so callers can attribute energy per-chain / per-frame.
-/// Items of one batch must carry distinct `rng` objects — they may run on
-/// different workers concurrently. At least one list must be non-empty.
-struct DeltaItem {
-  const EncodedInput* enc = nullptr;
-  const std::size_t* add_rows = nullptr;
-  std::size_t n_add = 0;
-  const std::size_t* rem_rows = nullptr;
-  std::size_t n_rem = 0;
-  core::Rng* rng = nullptr;
-  double* y = nullptr;
-  MacroStats* stats = nullptr;
 };
 
 /// The consumer-facing surface of one logical CIM layer. Implemented by
@@ -240,12 +214,6 @@ class MacroLike {
                                      const std::vector<std::uint8_t>& out_mask,
                                      core::Rng& rng) const = 0;
 
-  /// Partial product over a subset of input rows (delta evaluation for
-  /// compute reuse): only `rows` word lines fire.
-  virtual std::vector<double> matvec_rows(
-      const std::vector<double>& x, const std::vector<std::size_t>& rows,
-      const std::vector<std::uint8_t>& out_mask, core::Rng& rng) const = 0;
-
   /// Differential delta product on a pre-built encoding (ONE macro op per
   /// delta step): drives only the word lines whose mask bit flipped —
   /// `add_rows` positively, `rem_rows` on the complementary bit-lines —
@@ -262,15 +230,6 @@ class MacroLike {
                             const std::size_t* rem_rows, std::size_t n_rem,
                             core::Rng& rng,
                             std::vector<double>& y) const = 0;
-
-  /// Pooled delta dispatch: fans `n_items` DeltaItem evaluations over
-  /// `pool` (nullptr = serial, same results). Each item runs under its own
-  /// rng and optional stats capture; since every item carries its own
-  /// noise stream, any partitioning onto workers is bit-identical to the
-  /// serial item loop. Composite macros fan shard-major so one worker
-  /// touches one shard's weight planes per dispatch.
-  virtual void matvec_delta_batch(const DeltaItem* items, std::size_t n_items,
-                                  core::ThreadPool* pool = nullptr) const = 0;
 
   /// Ideal (float64) product for reference/testing; applies the same
   /// quantization grids but no analog noise and an exact accumulator.
@@ -339,18 +298,10 @@ class CimMacro final : public MacroLike {
                              const std::vector<std::uint8_t>& out_mask,
                              core::Rng& rng) const override;
 
-  std::vector<double> matvec_rows(const std::vector<double>& x,
-                                  const std::vector<std::size_t>& rows,
-                                  const std::vector<std::uint8_t>& out_mask,
-                                  core::Rng& rng) const override;
-
   void matvec_delta(const EncodedInput& enc, const std::size_t* add_rows,
                     std::size_t n_add, const std::size_t* rem_rows,
                     std::size_t n_rem, core::Rng& rng,
                     std::vector<double>& y) const override;
-
-  void matvec_delta_batch(const DeltaItem* items, std::size_t n_items,
-                          core::ThreadPool* pool = nullptr) const override;
 
   std::vector<double> matvec_ideal(const std::vector<double>& x,
                                    const std::vector<std::uint8_t>& in_mask,
@@ -372,13 +323,6 @@ class CimMacro final : public MacroLike {
                       const std::vector<std::uint64_t>& row_gate,
                       const std::vector<std::uint8_t>& out_mask,
                       core::Rng& rng, std::vector<double>& y) const override;
-
-  /// Convenience gated product that quantizes `x` on the fly (thread-local
-  /// workspace). Validates the packed gate width.
-  std::vector<double> matvec_gated(const std::vector<double>& x,
-                                   const std::vector<std::uint64_t>& row_gate,
-                                   const std::vector<std::uint8_t>& out_mask,
-                                   core::Rng& rng) const;
 
   std::vector<std::vector<double>> matvec_batch(
       const std::vector<std::vector<double>>& xs,
@@ -430,15 +374,6 @@ class CimMacro final : public MacroLike {
                       double* y) const;
 
  private:
-  /// Differential engine behind matvec_delta / matvec_delta_batch: packs
-  /// both flip lists into zeroed gates, lists the touched words, runs the
-  /// backend's delta kernel once, and accounts one op with
-  /// active_rows = n_add + n_rem (all columns converted once).
-  void run_delta(const EncodedInput& enc, const std::size_t* add_rows,
-                 std::size_t n_add, const std::size_t* rem_rows,
-                 std::size_t n_rem, core::Rng& rng, MacroWorkspace& ws,
-                 double* y) const;
-
   /// Engine entry shared by the single-call wrappers: gate the encoding,
   /// run all columns through the backend, account stats.
   void run_gated(const EncodedInput& enc,

@@ -77,7 +77,7 @@ enum class Dispatch {
   kBatch,     ///< matvec_batch, serial
   kPooled,    ///< matvec_batch over a ThreadPool vs serial (bit-identity)
   kMultiJob,  ///< several jobs with rng streams keyed off one root
-  kDelta,     ///< matvec_delta / matvec_delta_batch (differential read)
+  kDelta,     ///< matvec_delta (differential read)
 };
 
 /// Sweep depth: kQuick is the CI tier, kFull the nightly tier (more

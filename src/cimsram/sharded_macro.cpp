@@ -157,17 +157,6 @@ std::vector<double> ShardedMacro::matvec(
   return y;
 }
 
-std::vector<double> ShardedMacro::matvec_rows(
-    const std::vector<double>& x, const std::vector<std::size_t>& rows,
-    const std::vector<std::uint8_t>& out_mask, core::Rng& rng) const {
-  MacroWorkspace& ws = tls_workspace();
-  encode_input(x, ws.enc);
-  pack_rows(rows, n_in_, ws.gate);
-  std::vector<double> y;
-  run_all(ws.enc, ws.gate, out_mask, /*ideal=*/false, &rng, y);
-  return y;
-}
-
 void ShardedMacro::matvec_delta(const EncodedInput& enc,
                                 const std::size_t* add_rows,
                                 std::size_t n_add,
@@ -234,137 +223,6 @@ void ShardedMacro::matvec_delta(const EncodedInput& enc,
   for (int j = 0; j < n_out_; ++j)
     y[static_cast<std::size_t>(j)] =
         acc[static_cast<std::size_t>(j)] * weight_scale_ * input_scale_;
-}
-
-void ShardedMacro::matvec_delta_batch(const DeltaItem* items,
-                                      std::size_t n_items,
-                                      core::ThreadPool* pool) const {
-  if (n_items == 0) return;
-  const std::size_t rr = static_cast<std::size_t>(grid_rows());
-  const std::size_t cc = static_cast<std::size_t>(grid_cols());
-  const std::size_t n_shards = rr * cc;
-  const std::size_t words = static_cast<std::size_t>(words_);
-  const std::size_t out_stride = static_cast<std::size_t>(n_out_);
-
-  // All scratch is thread_local on the dispatching thread and grow-only,
-  // so the pooled reuse engine's steady state never touches the heap.
-  thread_local std::vector<std::uint64_t> gates_add_all, gates_rem_all,
-      roots;
-  thread_local std::vector<double> partials;
-  thread_local std::vector<MacroStats> stats_all;
-
-  // Item roots are drawn serially in item order (each item's own stream
-  // advances exactly as in the serial loop); gates pack in the same pass.
-  roots.resize(n_items);
-  gates_add_all.assign(n_items * words, 0);
-  gates_rem_all.assign(n_items * words, 0);
-  bool any_stats = false;
-  for (std::size_t k = 0; k < n_items; ++k) {
-    const DeltaItem& it = items[k];
-    CIMNAV_REQUIRE(it.enc->planes.size() ==
-                       static_cast<std::size_t>(config_.input_bits) * words,
-                   "encoded input shape mismatch");
-    const auto pack = [&](std::uint64_t* gate, const std::size_t* rows,
-                          std::size_t n) {
-      for (std::size_t n2 = 0; n2 < n; ++n2) {
-        const std::size_t i = rows[n2];
-        CIMNAV_REQUIRE(i < static_cast<std::size_t>(n_in_),
-                       "row out of range");
-        gate[i / 64] |= (std::uint64_t{1} << (i % 64));
-      }
-    };
-    pack(gates_add_all.data() + k * words, it.add_rows, it.n_add);
-    pack(gates_rem_all.data() + k * words, it.rem_rows, it.n_rem);
-    roots[k] = (*it.rng)();
-    any_stats = any_stats || it.stats != nullptr;
-  }
-  partials.assign(n_items * rr * out_stride, 0.0);
-  if (any_stats) stats_all.assign(n_items * n_shards, MacroStats{});
-
-  // Lambdas do not capture thread_local variables — a pool worker naming
-  // them would read its OWN (empty) instances. Snapshot the dispatching
-  // thread's buffers as plain pointers the closures can capture.
-  const std::uint64_t* const ga_base = gates_add_all.data();
-  const std::uint64_t* const gr_base = gates_rem_all.data();
-  const std::uint64_t* const roots_base = roots.data();
-  double* const partials_base = partials.data();
-  MacroStats* const stats_base = any_stats ? stats_all.data() : nullptr;
-
-  // Shard-major fan (shard-affine): one chunk = one shard streamed across
-  // items, so a worker stays on one shard's weight planes per dispatch.
-  // Noise is keyed on (item root, shard index), so any partitioning —
-  // including the serial matvec_delta loop — produces identical bits.
-  const auto run_items = [&, ga_base, gr_base, roots_base, partials_base,
-                          stats_base](std::size_t begin, std::size_t end,
-                                      int) {
-    MacroWorkspace& ws = tls_workspace();
-    for (std::size_t k2 = begin; k2 < end; ++k2) {
-      const std::size_t shard_idx = k2 / n_items;
-      const std::size_t k = k2 % n_items;
-      const std::size_t r = shard_idx / cc;
-      const std::size_t c = shard_idx % cc;
-      const std::size_t word_off = static_cast<std::size_t>(row_off_[r] / 64);
-      const CimMacro& s = shards_[shard_idx];
-      const std::uint64_t* ga = ga_base + k * words + word_off;
-      const std::uint64_t* gr = gr_base + k * words + word_off;
-      ws.word_list.clear();
-      std::uint64_t add_any = 0, rem_any = 0;
-      for (int w = 0; w < s.gate_words(); ++w) {
-        add_any |= ga[static_cast<std::size_t>(w)];
-        rem_any |= gr[static_cast<std::size_t>(w)];
-        if ((ga[static_cast<std::size_t>(w)] |
-             gr[static_cast<std::size_t>(w)]) != 0)
-          ws.word_list.push_back(w);
-      }
-      if (ws.word_list.empty()) continue;
-      core::Rng shard_rng = core::Rng::stream(roots_base[k], shard_idx);
-      ScopedStatsCapture capture(
-          stats_base != nullptr ? stats_base + (k * n_shards + shard_idx)
-                                : nullptr);
-      s.run_view_delta(items[k].enc->planes.data() + word_off, words,
-                       add_any != 0 ? ga : nullptr,
-                       rem_any != 0 ? gr : nullptr, ws.word_list.data(),
-                       static_cast<int>(ws.word_list.size()), nullptr,
-                       /*ideal=*/false, /*unit_scale=*/true, &shard_rng, ws,
-                       partials_base + (k * rr + r) * out_stride +
-                           static_cast<std::size_t>(col_off_[c]));
-    }
-  };
-
-  // Reduce row shards in fixed order, scale last, and fold the per-shard
-  // stats captures into each item's sink (after the fan barrier, so
-  // concurrent shards of one item never raced on it).
-  const auto reduce_range = [&, partials_base, stats_base](
-                                std::size_t begin, std::size_t end, int) {
-    for (std::size_t k = begin; k < end; ++k) {
-      double* y = items[k].y;
-      for (int j = 0; j < n_out_; ++j) {
-        double acc = 0.0;
-        for (std::size_t r = 0; r < rr; ++r)
-          acc += partials_base[(k * rr + r) * out_stride +
-                               static_cast<std::size_t>(j)];
-        y[j] = acc * weight_scale_ * input_scale_;
-      }
-      if (items[k].stats != nullptr && stats_base != nullptr) {
-        for (std::size_t sh = 0; sh < n_shards; ++sh)
-          *items[k].stats += stats_base[k * n_shards + sh];
-      }
-    }
-  };
-
-  if (pool != nullptr && n_items * n_shards > 1) {
-    std::size_t grain = n_items;
-    const std::size_t target_chunks =
-        static_cast<std::size_t>(pool->thread_count()) * 4;
-    while (grain > 1 && grain % 2 == 0 &&
-           (n_items * n_shards) / grain < target_chunks)
-      grain /= 2;
-    pool->parallel_for(n_items * n_shards, grain, run_items);
-    pool->parallel_for(n_items, 1, reduce_range);
-  } else {
-    run_items(0, n_items * n_shards, 0);
-    reduce_range(0, n_items, 0);
-  }
 }
 
 std::vector<double> ShardedMacro::matvec_ideal(

@@ -73,16 +73,10 @@ class ShardedMacro final : public MacroLike {
                              const std::vector<std::uint8_t>& out_mask,
                              core::Rng& rng) const override;
 
-  std::vector<double> matvec_rows(const std::vector<double>& x,
-                                  const std::vector<std::size_t>& rows,
-                                  const std::vector<std::uint8_t>& out_mask,
-                                  core::Rng& rng) const override;
-
   /// Differential delta product over the shard grid. One root is drawn
   /// from `rng`; each shard's disturbance comes from Rng::stream(root,
-  /// shard_index), so the pooled batch below reproduces this serial path
-  /// bit-for-bit on ANY backend (the monolithic macro instead passes the
-  /// caller's stream straight through). Each row shard runs ONE signed op
+  /// shard_index) (the monolithic macro instead passes the caller's
+  /// stream straight through). Each row shard runs ONE signed op
   /// netting its slice of the add gate against its slice of the remove
   /// gate; row shards where neither gate slice holds a changed row are
   /// skipped entirely — no word line fires there, no ADC converts, no
@@ -91,15 +85,6 @@ class ShardedMacro final : public MacroLike {
                     std::size_t n_add, const std::size_t* rem_rows,
                     std::size_t n_rem, core::Rng& rng,
                     std::vector<double>& y) const override;
-
-  /// Shard-affine pooled delta dispatch: item roots are drawn serially in
-  /// item order, then (shard x item) work fans shard-major over the pool
-  /// (one worker streams every item through one shard's weight planes),
-  /// with per-(item, shard) noise streams as above — bit-identical to the
-  /// serial item loop at any pool size. Per-item stats sinks are reduced
-  /// after the barrier, so concurrent shards of one item never race.
-  void matvec_delta_batch(const DeltaItem* items, std::size_t n_items,
-                          core::ThreadPool* pool = nullptr) const override;
 
   std::vector<double> matvec_ideal(const std::vector<double>& x,
                                    const std::vector<std::uint8_t>& in_mask,

@@ -427,10 +427,10 @@ bool FleetEngine::tick_locked() {
       jobs_.push_back(job);
     }
     // mc_predict_cim_jobs batches dense and compute-reuse jobs alike
-    // (reuse chains advance step-synchronously through the same pooled
-    // dispatches), and returns how many non-empty jobs shared the one
-    // pooled dispatch set — the serial-equivalent count the dispatch
-    // ratio is measured against.
+    // (every reuse chain is one work item of a shared pooled dispatch),
+    // and returns how many non-empty jobs shared the one pooled dispatch
+    // set — the serial-equivalent count the dispatch ratio is measured
+    // against.
     const std::size_t batched_jobs =
         bnn::mc_predict_cim_jobs(*net, jobs_.data(), jobs_.size(),
                                  config_.pool);

@@ -26,9 +26,9 @@
 //             every (session, frame, iteration) item of the tick shares
 //             one pooled macro dispatch per layer — cross-frame batching
 //             extended across sessions. Compute-reuse sessions batch the
-//             same way: their refresh chains advance step-synchronously
-//             through the chain-parallel reuse engine, one pooled delta
-//             dispatch per chain step across every session of the tick;
+//             same way: every refresh chain of every session of the tick
+//             is one work item of the chain-parallel reuse engine's single
+//             pooled dispatch;
 //   stage C   per session, in frame order: posterior -> filter predict,
 //             wake-up policy, measurement update, energy ledger;
 //   retire    finished sessions publish their ClosedLoopRun through a
@@ -168,8 +168,8 @@ struct FleetStats {
   /// (session, frame) items dispatched through stage B.
   std::uint64_t frames_dispatched = 0;
   /// Batched-dispatch accounting: per tick and network, the shared
-  /// forward_window issues layer_count pooled macro dispatches where
-  /// the same sessions run serially would have issued layer_count
+  /// mc_predict_cim_jobs call counts layer_count pooled macro dispatches
+  /// where the same sessions run serially would have issued layer_count
   /// *each*. Their ratio is the fleet's batching factor (the bench
   /// gate: >= 4x at 8 sessions).
   std::uint64_t pooled_layer_dispatches = 0;

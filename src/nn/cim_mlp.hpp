@@ -11,13 +11,13 @@
 // (RL AND) and the consuming layer's word lines.
 //
 // Compute reuse (paper Sec. III-C): consecutive MC-Dropout iterations
-// share the same input vector at the first layer, so
+// share the same input vector at the reuse locus, so
 // P_i = P_{i-1} + W x|_A - W x|_D, where A/D are the newly
-// activated/deactivated input neurons. forward_with_reuse maintains the
-// full-column accumulator and issues two sparse row evaluations per
-// iteration instead of one dense product. The accumulator keeps all
-// columns live so it stays valid when the *output* mask changes between
-// iterations.
+// activated/deactivated neurons. forward_reuse_window keeps a
+// full-column accumulator per refresh chain and issues one differential
+// delta read per iteration instead of one dense product. The accumulator
+// keeps all columns live so it stays valid when the *output* mask changes
+// between iterations.
 #pragma once
 
 #include <cstdint>
@@ -49,32 +49,10 @@ class CimMlp {
   /// The macro executing `layer` (monolithic or sharded; throws on range).
   const cimsram::MacroLike& macro(int layer) const;
 
-  /// Masked (MC-Dropout) forward pass through the analog macros.
-  Vector forward(const Vector& x, const std::vector<Mask>& masks,
-                 core::Rng& rng) const;
-
-  /// Batched masked forward: one shared input, one mask set per iteration.
-  /// The layer-0 input is quantized and bit-plane-expanded exactly once
-  /// (its values are iteration-invariant under dropout; only gates flip),
-  /// then iterations fan out over `pool` (nullptr = serial). Analog-noise
-  /// streams are keyed on the iteration index derived from `noise_root`,
-  /// so results are bit-identical at any thread count.
-  std::vector<Vector> forward_batch(
-      const Vector& x, const std::vector<std::vector<Mask>>& mask_sets,
-      std::uint64_t noise_root, core::ThreadPool* pool = nullptr) const;
-
-  /// Allocation-reusing variant: `outs` is resized to the iteration count
-  /// and its elements keep their capacity across calls (the MC hot loop
-  /// calls this once per prediction).
-  void forward_batch(const Vector& x,
-                     const std::vector<std::vector<Mask>>& mask_sets,
-                     std::uint64_t noise_root, core::ThreadPool* pool,
-                     std::vector<Vector>& outs) const;
-
   /// One frame of a multi-frame MC-Dropout window (forward_window): the
   /// frame's shared input, its per-iteration mask sets, and the root of
   /// its analog-noise streams (iteration t draws from
-  /// core::Rng::stream(noise_root, t), exactly like forward_batch).
+  /// core::Rng::stream(noise_root, t)).
   struct FrameBatch {
     const Vector* x = nullptr;
     const std::vector<std::vector<Mask>>* mask_sets = nullptr;
@@ -103,8 +81,8 @@ class CimMlp {
   ///
   /// Determinism: each item owns a persistent noise stream keyed
   /// (noise_root, iteration) that it carries across layers, so results
-  /// are bit-identical to per-frame forward_batch calls — and hence to
-  /// the serial path — at any thread count and any window size.
+  /// are bit-identical to a serial per-item layer loop at any thread
+  /// count and any window size.
   ///
   /// `outs[f][t]` receives frame f's iteration-t output (capacity reused).
   /// `side_items`/`side_item` optionally append side work to the layer-0
@@ -129,44 +107,11 @@ class CimMlp {
   /// Deterministic forward (no dropout, all neurons active).
   Vector forward_deterministic(const Vector& x, core::Rng& rng) const;
 
-  /// Compute-reuse state across the MC iterations of one input frame.
-  ///
-  /// With input-site dropout, the reuse locus is layer 0: the input values
-  /// are iteration-invariant and only the input mask flips, so the
-  /// accumulator tracks P_i = P_{i-1} + W x|_A - W x|_D.
-  ///
-  /// With hidden-site dropout only (the VO configuration), layer 0 is
-  /// mask-independent and computed *once* per frame, and the reuse locus
-  /// moves to layer 1: the surviving hidden neurons carry fixed values, so
-  /// consecutive iterations again differ only by mask flips — the paper's
-  /// delta rule applies exactly.
-  struct ReuseState {
-    Vector frozen_values;  ///< layer-0 input (x) or hidden values (v*s)
-    Vector layer0_preact;  ///< cached W1 x (hidden-site mode)
-    Vector reuse_acc;      ///< full-column accumulator at the reuse layer
-    Mask prev_mask;        ///< mask that produced the accumulator
-    /// Bit-plane encoding of frozen_values; delta evaluations replay it
-    /// against sparse row gates without re-quantizing.
-    cimsram::EncodedInput frozen_enc;
-    bool valid = false;
-  };
-
-  /// Masked forward reusing products between calls. The first call (state
-  /// invalid) performs dense products; subsequent calls evaluate only
-  /// changed rows at the reuse layer — one differential delta dispatch
-  /// (MacroLike::matvec_delta) per step that only drives word lines whose
-  /// mask bits flipped, netting adds against removes in a single signed
-  /// op. Reset the state when `x` changes. This is the serial reference
-  /// for forward_reuse_window below.
-  Vector forward_with_reuse(const Vector& x, const std::vector<Mask>& masks,
-                            ReuseState& state, core::Rng& rng) const;
-
   /// One frame of a chain-parallel compute-reuse window
   /// (forward_reuse_window). The frame's T mask sets are visited along
   /// `order` (nullptr = identity) and cut into refresh chains of
   /// `chain_len` visiting positions (0 = one chain); chain c's analog
-  /// noise streams from core::Rng::stream(noise_root, c), exactly like
-  /// the serial chain loop over forward_with_reuse.
+  /// noise streams from core::Rng::stream(noise_root, c).
   struct ReuseFrame {
     const Vector* x = nullptr;
     const std::vector<std::vector<Mask>>* mask_sets = nullptr;
@@ -183,9 +128,9 @@ class CimMlp {
     cimsram::MacroStats* stats = nullptr;
   };
 
-  /// Pooled per-chain state for forward_reuse_window: one grow-only arena
-  /// the engine carves per-chain accumulators, row lists and delta
-  /// buffers from, so the steady-state reuse path never touches the heap.
+  /// Reusable chain table for forward_reuse_window. Buffers keep their
+  /// capacity across calls (a chain's working buffers are per worker
+  /// thread), so the steady-state reuse path never touches the heap.
   /// One instance must not be shared by concurrent callers.
   struct ReuseScratch {
     std::vector<cimsram::EncodedInput> enc0;  ///< per-frame frozen encoding
@@ -193,39 +138,26 @@ class CimMlp {
     std::vector<std::size_t> chain_begin;     ///< chain -> first position
     std::vector<std::size_t> chain_end;       ///< chain -> past-the-end
     std::vector<core::Rng> rngs;              ///< per-chain noise stream
-    std::vector<Vector> accs;                 ///< per-chain accumulator
-    std::vector<const Mask*> prev;            ///< per-chain previous locus mask
-    /// Per-chain frozen-value encodings (hidden-site mode only; the
-    /// frozen hidden vector depends on the chain's own layer-0 draws).
-    std::vector<cimsram::EncodedInput> frozen_enc;
-    std::vector<Vector> acts;                 ///< per-chain tail activation
-    std::vector<Vector> deltas;               ///< per-chain delta product
-    std::vector<std::vector<std::size_t>> added, removed;
-    std::vector<cimsram::DeltaItem> items;    ///< delta batch build buffer
-    std::vector<std::size_t> item_chain;      ///< item -> chain
-    std::vector<std::uint32_t> live;          ///< chains active this step
     std::vector<cimsram::MacroStats> chain_stats;
   };
 
   /// Chain-parallel compute reuse across a window of frames (and, via
-  /// bnn::mc_predict_cim_jobs, across sessions): every refresh chain of
-  /// every frame advances step-synchronously. At chain position k one
-  /// pooled dispatch carries every chain's step-k work — the dense
-  /// (re)initialization at k = 0, then one differential delta batch
-  /// (MacroLike::matvec_delta_batch) netting each chain's added rows
-  /// against its removed rows, then the dense tail layers — while each
-  /// chain's within-chain accumulation stays a serial index-order sum on
-  /// its own noise stream.
+  /// bnn::mc_predict_cim_jobs, across sessions). Refresh chains are
+  /// independent (each starts with its own dense read), but the delta
+  /// rule is serial within a chain, so ONE pooled dispatch fans the
+  /// chains out as work items and each runs its serial loop: a dense
+  /// (re)initialization of the locus accumulator at the chain's first
+  /// position, then per position one differential delta read
+  /// (MacroLike::matvec_delta) netting the added rows against the removed
+  /// rows — skipped, with no draw, when no row flipped — followed by the
+  /// dense tail layers.
   ///
-  /// Determinism: a chain's rng is touched by at most one work item per
-  /// barrier-separated phase, in exactly the order forward_with_reuse
-  /// consumes it (delta phases skip chains with no flipped rows, which
-  /// therefore draw nothing — same as the serial path), so every output
-  /// is bit-identical to the serial chain loop at any pool size, window
-  /// size and frame mix.
+  /// Determinism: a chain's rng is touched only by its own work item, so
+  /// every output is bit-identical at any pool size, window size and
+  /// frame mix.
   ///
-  /// `side_items`/`side_item` append side work to the first pooled phase
-  /// (the widest dispatch), mirroring forward_window's contract.
+  /// `side_items`/`side_item` append side work to the chain dispatch,
+  /// mirroring forward_window's contract.
   void forward_reuse_window(const std::vector<ReuseFrame>& frames,
                             core::ThreadPool* pool, ReuseScratch& scratch,
                             std::size_t side_items = 0,
@@ -246,20 +178,13 @@ class CimMlp {
   bool dropout_on_input() const { return dropout_on_input_; }
 
  private:
-  /// Full masked forward on a pre-encoded layer-0 input (the engine path
-  /// behind forward and forward_batch). Writes into `out`, reusing its
-  /// capacity — the MC hot loop must not allocate in steady state.
-  void forward_encoded(const cimsram::EncodedInput& enc0,
-                       const std::vector<Mask>& masks, core::Rng& rng,
-                       Vector& out) const;
-
   /// Encodes the (dropout-scaled) layer-0 input for `x` into `enc`.
   void encode_layer0(const Vector& x, cimsram::EncodedInput& enc) const;
 
-  /// Digital epilogue of one layer, shared by forward_encoded and
-  /// forward_window: bias on live columns (masked columns forced to 0),
-  /// then ReLU + inverted-dropout scale when `hidden`. The bit-identity
-  /// contract between the per-frame and window paths rests on both
+  /// Digital epilogue of one layer, shared by forward_window and
+  /// forward_reuse_window: bias on live columns (masked columns forced to
+  /// 0), then ReLU + inverted-dropout scale when `hidden`. The
+  /// noise-free equivalence of the dense and reuse paths rests on both
   /// running exactly this code.
   void finish_layer(Vector& z, const Vector& bias, const Mask& col_mask,
                     bool hidden) const;

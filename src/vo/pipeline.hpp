@@ -39,7 +39,7 @@ struct VoPipelineConfig {
   /// Dropout sites: hidden layers only. Raw features are 0.5-centered, so
   /// zeroing them injects large off-manifold noise; hidden ReLU
   /// activations are the natural dropout locus (and the exact
-  /// compute-reuse locus — see CimMlp::forward_with_reuse).
+  /// compute-reuse locus — see CimMlp::forward_reuse_window).
   bool dropout_on_input = false;
   /// Training pairs are sampled densely over the pose-delta envelope
   /// (uniform pose, random small delta) so the regressor generalizes to
@@ -59,7 +59,7 @@ struct VoPipelineConfig {
   std::uint64_t seed = 7;
   /// Worker pool for the CIM MC-Dropout evaluations (nullptr = serial),
   /// mirroring filter::ScenarioConfig::pool: each frame's T iterations run
-  /// through CimMlp::forward_batch and fan out over the pool, so VO runs
+  /// through CimMlp::forward_window and fan out over the pool, so VO runs
   /// are no longer frame-serial inside. Results are bit-identical at any
   /// thread count (noise streams are keyed on iteration indices).
   core::ThreadPool* pool = nullptr;

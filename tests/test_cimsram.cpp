@@ -282,12 +282,13 @@ TEST_P(CimMacroTest, RowSubsetsAddUpExactlyInIdealMode) {
   cfg.adc_bits = 12;  // effectively lossless column readout
   const CimMacro macro(w, n_out, n_in, cfg, 1.0 / 63.0);
 
-  std::vector<std::size_t> rows_a, rows_b;
+  std::vector<std::uint8_t> mask_a(static_cast<std::size_t>(n_in), 0);
+  std::vector<std::uint8_t> mask_b(static_cast<std::size_t>(n_in), 0);
   for (int i = 0; i < n_in; ++i)
-    (i % 2 == 0 ? rows_a : rows_b).push_back(static_cast<std::size_t>(i));
+    (i % 2 == 0 ? mask_a : mask_b)[static_cast<std::size_t>(i)] = 1;
   Rng rng(29);
-  const auto ya = macro.matvec_rows(x, rows_a, {}, rng);
-  const auto yb = macro.matvec_rows(x, rows_b, {}, rng);
+  const auto ya = macro.matvec(x, mask_a, {}, rng);
+  const auto yb = macro.matvec(x, mask_b, {}, rng);
   const auto yfull = macro.matvec(x, {}, {}, rng);
   for (int o = 0; o < n_out; ++o) {
     EXPECT_NEAR(ya[static_cast<std::size_t>(o)] + yb[static_cast<std::size_t>(o)],
@@ -305,10 +306,11 @@ TEST_P(CimMacroTest, AnalogNoiseScalesWithActiveRows) {
   const CimMacro macro(w, n_out, n_in, cfg, 1.0 / 63.0);
   Rng rng(31);
   core::RunningStats few, many;
-  std::vector<std::size_t> rows_few{0, 1, 2, 3};
+  std::vector<std::uint8_t> rows_few(static_cast<std::size_t>(n_in), 0);
+  rows_few[0] = rows_few[1] = rows_few[2] = rows_few[3] = 1;
   for (int k = 0; k < 400; ++k) {
     many.add(macro.matvec(x, {}, {}, rng)[0]);
-    few.add(macro.matvec_rows(x, rows_few, {}, rng)[0]);
+    few.add(macro.matvec(x, rows_few, {}, rng)[0]);
   }
   EXPECT_GT(many.stddev(), few.stddev());
 }
@@ -372,8 +374,50 @@ TEST_P(CimMacroTest, RejectsBadArguments) {
   const CimMacro macro({0.5, -0.5}, 1, 2, cfg, 1.0);
   Rng rng(61);
   EXPECT_THROW(macro.matvec({1.0}, {}, {}, rng), std::invalid_argument);
-  EXPECT_THROW(macro.matvec_rows({1.0, 1.0}, {5}, {}, rng),
+}
+
+TEST_P(CimMacroTest, DeltaRejectsRowsPastTheLayer) {
+  // A flip-list row past n_in still lands inside the last packed gate
+  // word, so only an explicit row check keeps it from driving a phantom
+  // word line. Both rails, on a monolithic macro and on a shard grid.
+  CimMacroConfig cfg = base_config();
+  std::vector<double> y;
+  Rng rng(67);
+  const std::size_t ok = 0;
+
+  const CimMacro macro({0.5, -0.5}, 1, 2, cfg, 1.0);
+  EncodedInput enc;
+  macro.encode_input({1.0, 1.0}, enc);
+  const std::size_t bad = 5;
+  EXPECT_THROW(macro.matvec_delta(enc, &bad, 1, nullptr, 0, rng, y),
                std::invalid_argument);
+  EXPECT_THROW(macro.matvec_delta(enc, &ok, 1, &bad, 1, rng, y),
+               std::invalid_argument);
+
+  cfg.max_rows = 64;
+  const int n_in = 130;  // 3 row shards, the last one 2 rows wide
+  const ShardedMacro grid(std::vector<double>(n_in, 0.25), 1, n_in, cfg,
+                          1.0);
+  ASSERT_EQ(grid.grid_rows(), 3);
+  grid.encode_input(std::vector<double>(n_in, 1.0), enc);
+  const std::size_t past = static_cast<std::size_t>(n_in);
+  EXPECT_THROW(grid.matvec_delta(enc, &past, 1, nullptr, 0, rng, y),
+               std::invalid_argument);
+  EXPECT_THROW(grid.matvec_delta(enc, &ok, 1, &past, 1, rng, y),
+               std::invalid_argument);
+
+  // In-range duplicates are idempotent: same driven lines, same bits.
+  const std::size_t dup[] = {3, 3, 65};
+  const std::size_t once[] = {3, 65};
+  std::vector<double> y_dup, y_once;
+  Rng r1(71), r2(71);
+  grid.reset_stats();
+  grid.matvec_delta(enc, dup, 3, nullptr, 0, r1, y_dup);
+  const std::uint64_t pulses = grid.stats().wordline_pulses;
+  grid.reset_stats();
+  grid.matvec_delta(enc, once, 2, nullptr, 0, r2, y_once);
+  EXPECT_EQ(y_dup, y_once);
+  EXPECT_EQ(pulses, grid.stats().wordline_pulses);
 }
 
 TEST_P(CimMacroTest, GatedMatvecValidatesRowGateWidth) {
@@ -389,11 +433,14 @@ TEST_P(CimMacroTest, GatedMatvecValidatesRowGateWidth) {
   ASSERT_EQ(macro.gate_words(), 2);
   Rng rng(79);
 
+  EncodedInput enc;
+  macro.encode_input(x, enc);
+  std::vector<double> y;
   std::vector<std::uint64_t> short_gate(1, ~std::uint64_t{0});
-  EXPECT_THROW(macro.matvec_gated(x, short_gate, {}, rng),
+  EXPECT_THROW(macro.matvec_encoded(enc, short_gate, {}, rng, y),
                std::invalid_argument);
   std::vector<std::uint64_t> long_gate(3, ~std::uint64_t{0});
-  EXPECT_THROW(macro.matvec_gated(x, long_gate, {}, rng),
+  EXPECT_THROW(macro.matvec_encoded(enc, long_gate, {}, rng, y),
                std::invalid_argument);
 
   // A correctly-sized all-ones gate matches the unmasked product exactly
@@ -401,7 +448,7 @@ TEST_P(CimMacroTest, GatedMatvecValidatesRowGateWidth) {
   std::vector<std::uint64_t> gate;
   pack_row_mask({}, n_in, gate);
   macro.reset_stats();
-  const auto y = macro.matvec_gated(x, gate, {}, rng);
+  macro.matvec_encoded(enc, gate, {}, rng, y);
   EXPECT_EQ(y.size(), static_cast<std::size_t>(n_out));
   EXPECT_EQ(macro.stats().wordline_pulses,
             macro.stats().analog_cycles * static_cast<std::uint64_t>(n_in));
@@ -437,22 +484,6 @@ TEST(PackRowMask, WrongSizeThrows) {
   std::vector<std::uint64_t> gate;
   std::vector<std::uint8_t> mask(8, 1);
   EXPECT_THROW(pack_row_mask(mask, 9, gate), std::invalid_argument);
-}
-
-TEST(PackRows, EmptyListYieldsAllZeroGate) {
-  std::vector<std::uint64_t> gate;
-  pack_rows({}, 130, gate);
-  ASSERT_EQ(gate.size(), 3u);
-  for (std::uint64_t g : gate) EXPECT_EQ(g, 0u);
-}
-
-TEST(PackRows, DuplicatesAreIdempotentAndBoundsChecked) {
-  std::vector<std::uint64_t> gate;
-  pack_rows({3, 3, 65, 99}, 100, gate);
-  ASSERT_EQ(gate.size(), 2u);
-  EXPECT_EQ(std::popcount(gate[0]) + std::popcount(gate[1]), 3);
-  EXPECT_THROW(pack_rows({100}, 100, gate), std::invalid_argument);
-  EXPECT_THROW(pack_rows({0, 7, 1000}, 100, gate), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

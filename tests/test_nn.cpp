@@ -162,6 +162,38 @@ TEST(Mlp, TrainingLossDecreases) {
   EXPECT_LT(last, first);
 }
 
+/// One frame of MC iterations through the dense window engine; iteration
+/// t draws its analog noise from Rng::stream(noise_root, t).
+std::vector<Vector> dense_frame(const CimMlp& cim, const Vector& x,
+                                const std::vector<std::vector<Mask>>& sets,
+                                std::uint64_t noise_root) {
+  CimMlp::FrameBatch frame;
+  frame.x = &x;
+  frame.mask_sets = &sets;
+  frame.noise_root = noise_root;
+  CimMlp::WindowScratch scratch;
+  std::vector<std::vector<Vector>> outs;
+  cim.forward_window({frame}, nullptr, scratch, outs);
+  return outs[0];
+}
+
+/// The same frame through the compute-reuse engine as ONE chain (no
+/// refresh) visited in index order: a dense read at t = 0, then one delta
+/// read per later iteration.
+std::vector<Vector> reuse_frame(const CimMlp& cim, const Vector& x,
+                                const std::vector<std::vector<Mask>>& sets,
+                                std::uint64_t noise_root) {
+  std::vector<Vector> outs;
+  CimMlp::ReuseFrame frame;
+  frame.x = &x;
+  frame.mask_sets = &sets;
+  frame.noise_root = noise_root;
+  frame.outs = &outs;
+  CimMlp::ReuseScratch scratch;
+  cim.forward_reuse_window({frame}, nullptr, scratch);
+  return outs;
+}
+
 class TrainedFixture : public ::testing::Test {
  protected:
   TrainedFixture() : rng_(23), net_(small_config(0.2, false), rng_) {
@@ -231,10 +263,10 @@ TEST_F(TrainedFixture, CimMaskedMatchesReferenceMasked) {
   mc.analog_noise = false;
   Rng crng(37);
   const CimMlp cim(net_, mc, inputs_, crng);
-  Rng mrng(41), arng(43);
+  Rng mrng(41);
   const auto masks = net_.sample_masks([&] { return mrng.bernoulli(0.2); });
   const Vector ref = net_.forward_masked(inputs_[0], masks);
-  const Vector y = cim.forward(inputs_[0], masks, arng);
+  const Vector y = dense_frame(cim, inputs_[0], {masks}, 43)[0];
   for (std::size_t k = 0; k < y.size(); ++k)
     EXPECT_NEAR(y[k], ref[k], 0.12);
 }
@@ -250,16 +282,17 @@ TEST_F(TrainedFixture, ReuseEquivalentToDenseForwardNoiseFree) {
   mc.analog_noise = false;
   Rng crng(47);
   const CimMlp cim(net_, mc, inputs_, crng);
-  Rng mrng(53), arng(59);
-  CimMlp::ReuseState state;
-  for (int t = 0; t < 12; ++t) {
-    const auto masks =
-        net_.sample_masks([&] { return mrng.bernoulli(0.3); });
-    const Vector dense = cim.forward(inputs_[0], masks, arng);
-    const Vector reused = cim.forward_with_reuse(inputs_[0], masks, state, arng);
-    ASSERT_EQ(dense.size(), reused.size());
-    for (std::size_t k = 0; k < dense.size(); ++k)
-      EXPECT_NEAR(reused[k], dense[k], 1e-6) << "iteration " << t;
+  Rng mrng(53);
+  std::vector<std::vector<Mask>> sets;
+  for (int t = 0; t < 12; ++t)
+    sets.push_back(net_.sample_masks([&] { return mrng.bernoulli(0.3); }));
+  const auto dense = dense_frame(cim, inputs_[0], sets, 59);
+  const auto reused = reuse_frame(cim, inputs_[0], sets, 59);
+  ASSERT_EQ(reused.size(), dense.size());
+  for (std::size_t t = 0; t < dense.size(); ++t) {
+    ASSERT_EQ(dense[t].size(), reused[t].size());
+    for (std::size_t k = 0; k < dense[t].size(); ++k)
+      EXPECT_NEAR(reused[t][k], dense[t][k], 1e-6) << "iteration " << t;
   }
 }
 
@@ -269,20 +302,18 @@ TEST_F(TrainedFixture, ReuseSavesWordlinePulses) {
   mc.weight_bits = 6;
   Rng crng(61);
   const CimMlp cim(net_, mc, inputs_, crng);
-  Rng mrng(67), arng(71);
-  // Dense baseline.
-  cim.reset_stats();
+  Rng mrng(67);
   std::vector<std::vector<Mask>> mask_sets;
   for (int t = 0; t < 20; ++t)
     mask_sets.push_back(
         net_.sample_masks([&] { return mrng.bernoulli(0.5); }));
-  for (const auto& m : mask_sets) cim.forward(inputs_[0], m, arng);
+  // Dense baseline.
+  cim.reset_stats();
+  dense_frame(cim, inputs_[0], mask_sets, 71);
   const auto dense_pulses = cim.total_stats().wordline_pulses;
   // Reuse path on the same masks.
   cim.reset_stats();
-  CimMlp::ReuseState state;
-  for (const auto& m : mask_sets)
-    cim.forward_with_reuse(inputs_[0], m, state, arng);
+  reuse_frame(cim, inputs_[0], mask_sets, 71);
   const auto reuse_pulses = cim.total_stats().wordline_pulses;
   EXPECT_LT(reuse_pulses, dense_pulses);
 }
@@ -306,15 +337,16 @@ TEST(CimMlpInputDropout, ReuseEquivalenceWithInputSite) {
   mc.analog_noise = false;
   Rng crng(79);
   const CimMlp cim(net, mc, calib, crng);
-  Rng mrng(83), arng(89);
-  CimMlp::ReuseState state;
-  for (int t = 0; t < 10; ++t) {
-    const auto masks = net.sample_masks([&] { return mrng.bernoulli(0.4); });
-    const Vector dense = cim.forward(calib[0], masks, arng);
-    const Vector reused = cim.forward_with_reuse(calib[0], masks, state, arng);
-    for (std::size_t k = 0; k < dense.size(); ++k)
-      EXPECT_NEAR(reused[k], dense[k], 1e-6);
-  }
+  Rng mrng(83);
+  std::vector<std::vector<Mask>> sets;
+  for (int t = 0; t < 10; ++t)
+    sets.push_back(net.sample_masks([&] { return mrng.bernoulli(0.4); }));
+  const auto dense = dense_frame(cim, calib[0], sets, 89);
+  const auto reused = reuse_frame(cim, calib[0], sets, 89);
+  ASSERT_EQ(reused.size(), dense.size());
+  for (std::size_t t = 0; t < dense.size(); ++t)
+    for (std::size_t k = 0; k < dense[t].size(); ++k)
+      EXPECT_NEAR(reused[t][k], dense[t][k], 1e-6) << "iteration " << t;
 }
 
 TEST(CimMlpSharded, ShardedLayersMatchMonolithicNoiseFree) {
@@ -351,18 +383,21 @@ TEST(CimMlpSharded, ShardedLayersMatchMonolithicNoiseFree) {
   EXPECT_NE(dynamic_cast<const cimsram::CimMacro*>(&cim_mono.macro(0)),
             nullptr);
 
-  Rng mrng(131), a1(137), a2(137);
-  CimMlp::ReuseState reuse;
-  for (int t = 0; t < 6; ++t) {
-    const auto masks = net.sample_masks([&] { return mrng.bernoulli(0.4); });
-    const Vector ym = cim_mono.forward(calib[0], masks, a1);
-    const Vector ys = cim_shard.forward(calib[0], masks, a2);
-    ASSERT_EQ(ym.size(), ys.size());
-    for (std::size_t k = 0; k < ym.size(); ++k)
-      EXPECT_NEAR(ys[k], ym[k], 2e-2) << "iteration " << t;
-    const Vector yr = cim_shard.forward_with_reuse(calib[0], masks, reuse, a2);
-    for (std::size_t k = 0; k < ys.size(); ++k)
-      EXPECT_NEAR(yr[k], ys[k], 2e-2);
+  Rng mrng(131);
+  std::vector<std::vector<Mask>> sets;
+  for (int t = 0; t < 6; ++t)
+    sets.push_back(net.sample_masks([&] { return mrng.bernoulli(0.4); }));
+  const auto ym = dense_frame(cim_mono, calib[0], sets, 137);
+  const auto ys = dense_frame(cim_shard, calib[0], sets, 137);
+  const auto yr = reuse_frame(cim_shard, calib[0], sets, 137);
+  ASSERT_EQ(ym.size(), ys.size());
+  ASSERT_EQ(yr.size(), ys.size());
+  for (std::size_t t = 0; t < ys.size(); ++t) {
+    ASSERT_EQ(ym[t].size(), ys[t].size());
+    for (std::size_t k = 0; k < ym[t].size(); ++k) {
+      EXPECT_NEAR(ys[t][k], ym[t][k], 2e-2) << "iteration " << t;
+      EXPECT_NEAR(yr[t][k], ys[t][k], 2e-2) << "iteration " << t;
+    }
   }
 }
 
@@ -385,16 +420,16 @@ TEST(CimMlpNoise, AnalogNoiseAccumulatesAcrossReuse) {
   mc.noise_coeff = 0.2;
   Rng crng(101);
   const CimMlp cim(net, mc, calib, crng);
-  Rng mrng(103), arng(107), arng2(107);
-  CimMlp::ReuseState state;
+  Rng mrng(103);
+  std::vector<std::vector<Mask>> sets;
+  for (int t = 0; t < 30; ++t)
+    sets.push_back(net.sample_masks([&] { return mrng.bernoulli(0.5); }));
+  const auto reused = reuse_frame(cim, calib[0], sets, 107);
+  const auto dense = dense_frame(cim, calib[0], sets, 107);
   double drift = 0.0;
-  for (int t = 0; t < 30; ++t) {
-    const auto masks = net.sample_masks([&] { return mrng.bernoulli(0.5); });
-    const Vector reused = cim.forward_with_reuse(calib[0], masks, state, arng);
-    const Vector dense = cim.forward(calib[0], masks, arng2);
-    for (std::size_t k = 0; k < dense.size(); ++k)
-      drift += std::abs(reused[k] - dense[k]);
-  }
+  for (std::size_t t = 0; t < dense.size(); ++t)
+    for (std::size_t k = 0; k < dense[t].size(); ++k)
+      drift += std::abs(reused[t][k] - dense[t][k]);
   EXPECT_GT(drift, 0.0);
 }
 

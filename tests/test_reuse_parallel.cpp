@@ -1,11 +1,12 @@
 // Chain-parallel compute-reuse determinism suite: the pooled reuse
-// engine (mc_predict_cim_window / mc_predict_cim_jobs) must be
+// engine (mc_predict_cim_window / mc_predict_cim_jobs), which runs every
+// refresh chain as one work item of a single pooled dispatch, must be
 // bit-identical to the serial per-frame mc_predict_cim loop across
 // pool sizes {1, 2, 8} x window sizes {1, 3, 16} x session counts
-// {1, 4, 8} — spanning both dispatch modes of the chain engine
-// (per-chain work items below the step-sync threshold, step-synchronous
-// pooled phases above it) — and the warmed pooled reuse path must run
-// without touching the heap (operator-new spy in this TU).
+// {1, 4, 8} — up to 16 frames x 3 chains x 8 sessions of work items —
+// on monolithic and sharded (ShardedMacro::matvec_delta) reuse loci,
+// and the warmed pooled reuse path must run without touching the heap
+// (operator-new spy in this TU).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +17,7 @@
 #include "bnn/mask_source.hpp"
 #include "bnn/mc_dropout.hpp"
 #include "cimsram/cim_macro.hpp"
+#include "cimsram/sharded_macro.hpp"
 #include "core/rng.hpp"
 #include "core/thread_pool.hpp"
 #include "nn/cim_mlp.hpp"
@@ -194,6 +196,54 @@ TEST_F(ReuseParallelFixture, JobsBitIdenticalAcrossSessionCounts) {
                 << " sessions=" << sessions << " session=" << s
                 << " frame=" << f;
       }
+    }
+  }
+}
+
+TEST_F(ReuseParallelFixture, ShardedLocusBitIdenticalAcrossPoolsAndWindows) {
+  // A net whose reuse locus (layer 1, 80 x 96) spans a 2 x 2 grid of
+  // 64 x 64 arrays, so every delta step runs ShardedMacro::matvec_delta
+  // (per-shard noise streams, dark row shards skipped) inside the pooled
+  // chain dispatch.
+  Rng nrng(29);
+  nn::MlpConfig cfg;
+  cfg.layer_sizes = {4, 96, 80, 2};
+  cfg.dropout_p = 0.4;
+  cfg.dropout_on_input = false;
+  const nn::Mlp net(cfg, nrng);
+  std::vector<Vector> calib = make_frames(8);
+  cimsram::CimMacroConfig mc;
+  mc.max_rows = 64;
+  mc.max_cols = 64;
+  const nn::CimMlp cim(net, mc, calib, nrng);
+  ASSERT_NE(dynamic_cast<const cimsram::ShardedMacro*>(&cim.macro(1)),
+            nullptr);
+
+  for (const int threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    for (const std::size_t window : {std::size_t{1}, std::size_t{3}}) {
+      const std::vector<Vector> frames = make_frames(window);
+      McOptions opt = reuse_options(nullptr);
+      std::vector<McPrediction> ref;
+      {
+        SoftwareMaskSource masks(Rng{1000});
+        Rng arng(2000);
+        for (const Vector& x : frames)
+          ref.push_back(mc_predict_cim(cim, x, opt, masks, arng));
+      }
+
+      opt.pool = &pool;
+      SoftwareMaskSource masks(Rng{1000});
+      Rng arng(2000);
+      std::vector<const Vector*> xs;
+      for (const Vector& x : frames) xs.push_back(&x);
+      const auto pooled = mc_predict_cim_window(cim, xs, opt, masks, arng);
+
+      ASSERT_EQ(pooled.size(), ref.size());
+      for (std::size_t f = 0; f < ref.size(); ++f)
+        EXPECT_TRUE(same_pred(pooled[f], ref[f]))
+            << "threads=" << threads << " window=" << window
+            << " frame=" << f;
     }
   }
 }
