@@ -1,7 +1,9 @@
 #include "circuit/array.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "core/error.hpp"
@@ -95,7 +97,8 @@ CimLikelihoodArray::CimLikelihoodArray(
 
   const SupplyParams supply{config.vdd_v};
   const InverterProgrammer programmer(config.nmos, config.pmos, supply);
-  columns_.reserve(static_cast<std::size_t>(config.total_columns));
+  recip_.resize(row(3, 0));  // rows of all three axes
+  std::size_t col = 0;
 
   for (std::size_t k = 0; k < components.size(); ++k) {
     const auto& comp = components[k];
@@ -126,37 +129,27 @@ CimLikelihoodArray::CimLikelihoodArray(
           branch.set_size_factor(config.peak_current_a * 3.0 / peak);
         // (factor 3: three series branches harmonically combine to ~1/3.)
       }
-      // Tabulate the column response over all DAC codes.
-      Column col;
+      // Tabulate the column's reciprocal response over all DAC codes.
       for (int axis = 0; axis < 3; ++axis) {
-        auto& lut = col.lut[static_cast<std::size_t>(axis)];
-        lut.resize(dac_.levels());
-        for (std::uint32_t code = 0; code < dac_.levels(); ++code)
-          lut[code] = inv.branch(axis).current(dac_.decode(code));
+        for (std::uint32_t code = 0; code < dac_.levels(); ++code) {
+          const double i = inv.branch(axis).current(dac_.decode(code));
+          recip_[row(static_cast<std::size_t>(axis), code) + col] =
+              i <= 0.0 ? std::numeric_limits<double>::infinity() : 1.0 / i;
+        }
       }
-      columns_.push_back(std::move(col));
+      ++col;
     }
   }
 }
 
-double CimLikelihoodArray::column_current(
-    const Column& c, const std::array<std::uint32_t, 3>& codes) const {
-  double inv_sum = 0.0;
-  for (int axis = 0; axis < 3; ++axis) {
-    const double i = c.lut[static_cast<std::size_t>(axis)][codes[static_cast<std::size_t>(axis)]];
-    if (i <= 0.0) return 0.0;
-    inv_sum += 1.0 / i;
-  }
-  return 1.0 / inv_sum;
-}
-
 double CimLikelihoodArray::ideal_current(const core::Vec3& point_v) const {
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
-  const std::array<std::uint32_t, 3> codes{dac_.encode(point_v.x),
-                                           dac_.encode(point_v.y),
-                                           dac_.encode(point_v.z)};
+  const double* rx = recip_.data() + row(0, dac_.encode(point_v.x));
+  const double* ry = recip_.data() + row(1, dac_.encode(point_v.y));
+  const double* rz = recip_.data() + row(2, dac_.encode(point_v.z));
+  const std::size_t n_cols = static_cast<std::size_t>(config_.total_columns);
   double total = 0.0;
-  for (const auto& col : columns_) total += column_current(col, codes);
+  for (std::size_t c = 0; c < n_cols; ++c)
+    total += 1.0 / (rx[c] + ry[c] + rz[c]);
   return total;
 }
 

@@ -14,14 +14,17 @@
 // program-and-verify), shot/thermal read noise, and log-ADC quantization.
 //
 // Performance note: because inputs pass through a DAC, each branch sees at
-// most 2^dac_bits distinct voltages, so per-column responses are
-// precomputed into lookup tables at programming time. The LUT is built from
-// the *mismatched* devices, i.e. it is a faithful tabulation of the analog
-// behavior, not an idealization.
+// most 2^dac_bits distinct voltages, so branch responses are tabulated at
+// programming time from the *mismatched* devices, i.e. a faithful
+// tabulation of the analog behavior, not an idealization. The table is
+// one flat buffer laid out [axis][dac code][column] holding reciprocal
+// branch currents 1/i (+inf where the branch is off, i <= 0), so a read
+// sums 1 / (rx + ry + rz) over three contiguous rows in column order. That
+// is bit-identical to dividing per read: the harmonic sum
+// ((0 + 1/ix) + 1/iy) + 1/iz equals (rx + ry) + rz, and an off branch makes
+// the sum +inf, whose reciprocal adds the same +0 A as a dead column.
 #pragma once
 
-#include <atomic>
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -86,7 +89,7 @@ class CimLikelihoodArray {
   /// transform of the mixture log-likelihood.
   double read_log_likelihood(const core::Vec3& point_v, core::Rng& rng) const;
 
-  int column_count() const { return static_cast<int>(columns_.size()); }
+  int column_count() const { return config_.total_columns; }
   const std::vector<int>& columns_per_component() const {
     return columns_per_component_;
   }
@@ -94,28 +97,20 @@ class CimLikelihoodArray {
   const LogAdc& adc() const { return adc_; }
   const LikelihoodArrayConfig& config() const { return config_; }
 
-  /// Total evaluations since construction (for energy accounting).
-  std::uint64_t evaluation_count() const {
-    return evaluations_.load(std::memory_order_relaxed);
-  }
-
  private:
-  struct Column {
-    // Per-axis current LUT indexed by DAC code; tabulated from the
-    // mismatched, program-verified devices.
-    std::array<std::vector<double>, 3> lut;
-  };
-
-  double column_current(const Column& c,
-                        const std::array<std::uint32_t, 3>& codes) const;
-
   LikelihoodArrayConfig config_;
   Dac dac_;
   LogAdc adc_;
-  std::vector<Column> columns_;
   std::vector<int> columns_per_component_;
-  // Atomic: likelihood reads run concurrently from particle-block workers.
-  mutable std::atomic<std::uint64_t> evaluations_{0};
+  // Reciprocal branch currents [1/A], [axis][dac code][column]; see the
+  // performance note above.
+  std::vector<double> recip_;
+
+  /// Offset of the (axis, code) row in recip_.
+  std::size_t row(std::size_t axis, std::uint32_t code) const {
+    return (axis * dac_.levels() + code) *
+           static_cast<std::size_t>(config_.total_columns);
+  }
 };
 
 /// Allocates `total` columns across components proportionally to weights

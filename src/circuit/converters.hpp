@@ -20,7 +20,8 @@ class Dac {
   int bits() const { return bits_; }
   std::uint32_t levels() const { return levels_; }
 
-  /// Nearest-code quantization of an analog target [V] (clamps to range).
+  /// Nearest-code quantization of an analog target [V]. Out-of-range and
+  /// infinite inputs clamp to the end codes; NaN encodes to code 0.
   std::uint32_t encode(double v) const;
 
   /// Output voltage for a code.
@@ -45,6 +46,7 @@ class LinearAdc {
 
   int bits() const { return bits_; }
   std::uint32_t levels() const { return levels_; }
+  /// Nearest code; clamps like Dac::encode (NaN encodes to code 0).
   std::uint32_t encode(double x) const;
   double decode(std::uint32_t code) const;
   double quantize(double x) const { return decode(encode(x)); }
@@ -66,7 +68,8 @@ class LogAdc {
   int bits() const { return bits_; }
   std::uint32_t levels() const { return levels_; }
 
-  /// Code for a current; currents at or below i_min clamp to code 0.
+  /// Code for a current; currents at or below i_min, and NaN, clamp to
+  /// code 0.
   std::uint32_t encode(double i_a) const;
 
   /// Natural log of the reconstructed current for a code.

@@ -79,6 +79,7 @@ CimHmgmLikelihood::CimHmgmLikelihood(
   const core::LinearFit fit = core::linear_fit(reading, reference);
   // Guard against degenerate calibration (e.g. flat field): keep unity.
   if (fit.slope > 0.05 && fit.slope < 100.0) gain_ = fit.slope;
+  evaluations_.store(kProbes, std::memory_order_relaxed);
 
   // One elementary evaluation = one read of the whole programmed array
   // (all columns conduct, three DACs drive, one log-ADC converts).
@@ -98,6 +99,7 @@ double CimHmgmLikelihood::log_likelihood(const core::Pose& pose,
         vision::pixel_to_world(scan, rot, pose.position, px);
     ll += array_->read_log_likelihood(mapping_.point_to_voltage(p), rng);
   }
+  evaluations_.fetch_add(scan.pixels.size(), std::memory_order_relaxed);
   return beta_ * gain_ * ll;
 }
 

@@ -125,10 +125,10 @@ class CimHmgmLikelihood final : public MeasurementModel {
   double log_likelihood(const core::Pose& pose, const vision::DepthScan& scan,
                         core::Rng& rng) const override;
   const char* name() const override { return "hmgm-cim"; }
-  /// The array's own hardware counter: one count per log-ADC read,
-  /// including the construction-time calibration probes.
+  /// One count per log-ADC read, including the construction-time
+  /// calibration probes; counted once per scan, not per read.
   std::uint64_t evaluation_count() const override {
-    return array_->evaluation_count();
+    return evaluations_.load(std::memory_order_relaxed);
   }
   double evaluation_energy_j() const override { return eval_energy_j_; }
 
@@ -143,6 +143,7 @@ class CimHmgmLikelihood final : public MeasurementModel {
   double beta_;
   double gain_ = 1.0;
   double eval_energy_j_ = 0.0;
+  mutable std::atomic<std::uint64_t> evaluations_{0};
 };
 
 }  // namespace cimnav::filter

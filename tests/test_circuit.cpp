@@ -2,7 +2,10 @@
 // programming, converters, noise, Gaussian fitting, likelihood array.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "circuit/array.hpp"
 #include "circuit/converters.hpp"
@@ -252,6 +255,29 @@ TEST(Dac, ClampsOutOfRange) {
   const Dac dac(4, 0.1, 0.9);
   EXPECT_EQ(dac.encode(-1.0), 0u);
   EXPECT_EQ(dac.encode(2.0), dac.levels() - 1);
+}
+
+TEST(Converters, NonFiniteInputsEncodeToDefinedCodes) {
+  // Boundary contract: any double, NaN included, yields an in-range code.
+  // NaN is code 0 by definition, not by lround's unspecified NaN result.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Dac dac(6, 0.05, 0.95);
+  const LinearAdc lin(5, 0.0, 100.0);
+  const LogAdc log_adc(4, 1e-9, 1e-3);
+  EXPECT_EQ(dac.encode(nan), 0u);
+  EXPECT_EQ(dac.encode(-inf), 0u);
+  EXPECT_EQ(dac.encode(inf), dac.levels() - 1);
+  EXPECT_EQ(dac.encode(1e300), dac.levels() - 1);
+  EXPECT_EQ(dac.encode(-1e300), 0u);
+  EXPECT_EQ(lin.encode(nan), 0u);
+  EXPECT_EQ(lin.encode(-inf), 0u);
+  EXPECT_EQ(lin.encode(inf), lin.levels() - 1);
+  EXPECT_EQ(lin.encode(1e300), lin.levels() - 1);
+  EXPECT_EQ(log_adc.encode(nan), 0u);
+  EXPECT_EQ(log_adc.encode(-inf), 0u);
+  EXPECT_EQ(log_adc.encode(inf), log_adc.levels() - 1);
+  EXPECT_EQ(log_adc.encode(1e300), log_adc.levels() - 1);
 }
 
 TEST(LinearAdc, MonotoneEncoding) {
@@ -510,15 +536,72 @@ TEST_F(LikelihoodArrayTest, LogLikelihoodMonotoneInCurrent) {
   EXPECT_GT(near, far);
 }
 
-TEST_F(LikelihoodArrayTest, EvaluationCounterAdvances) {
+// Bit-level fingerprint of a programmed array: FNV-1a over the IEEE-754
+// bits of ideal_current at every DAC code triple, plus the number of
+// triples that read exactly 0 A.
+std::pair<std::uint64_t, std::uint64_t> code_cube_fingerprint(
+    const CimLikelihoodArray& arr) {
+  const Dac& dac = arr.dac();
+  for (std::uint32_t c = 0; c < dac.levels(); ++c)
+    EXPECT_EQ(dac.encode(dac.decode(c)), c);  // decode reaches every code
+  std::uint64_t hash = 14695981039346656037ull, zeros = 0;
+  for (std::uint32_t x = 0; x < dac.levels(); ++x)
+    for (std::uint32_t y = 0; y < dac.levels(); ++y)
+      for (std::uint32_t z = 0; z < dac.levels(); ++z) {
+        const double i = arr.ideal_current(
+            {dac.decode(x), dac.decode(y), dac.decode(z)});
+        if (i == 0.0) ++zeros;
+        const auto bits = std::bit_cast<std::uint64_t>(i);
+        for (int b = 0; b < 64; b += 8) {
+          hash ^= (bits >> b) & 0xffu;
+          hash *= 1099511628211ull;
+        }
+      }
+  return {hash, zeros};
+}
+
+// Golden hashes pinned from the per-read harmonic-sum kernel that preceded
+// the reciprocal table, on x86-64 with glibc's libm. The device model's
+// multiply-adds contract to FMA when the target has it (-march=native on
+// an FMA host), which changes the tabulated currents, so each build kind
+// has its own value.
+#if defined(__FMA__)
+constexpr std::uint64_t kGoldenDefault = 0xd062001c51b7e4bdull;
+constexpr std::uint64_t kGoldenCold = 0xb872ab92cc913117ull;
+#else
+constexpr std::uint64_t kGoldenDefault = 0x47dee040a927de04ull;
+constexpr std::uint64_t kGoldenCold = 0x65ee7394ee2d5f13ull;
+#endif
+
+TEST_F(LikelihoodArrayTest, CodeCubeMatchesGoldenHash) {
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "golden hashes are pinned for x86-64 only";
+#endif
   LikelihoodArrayConfig cfg;
-  cfg.total_columns = 30;
-  core::Rng rng(37);
+  cfg.dac_bits = 6;
+  core::Rng rng(41);
   const CimLikelihoodArray arr(cfg, three_components(), rng);
-  const auto before = arr.evaluation_count();
-  arr.ideal_current({0.5, 0.5, 0.5});
-  arr.ideal_current({0.4, 0.5, 0.5});
-  EXPECT_EQ(arr.evaluation_count(), before + 2);
+  const auto [hash, zeros] = code_cube_fingerprint(arr);
+  EXPECT_EQ(hash, kGoldenDefault);
+  EXPECT_EQ(zeros, 0u);  // at default devices no branch switches fully off
+}
+
+TEST_F(LikelihoodArrayTest, ColdCornerCodeCubeMatchesGoldenHash) {
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "golden hashes are pinned for x86-64 only";
+#endif
+  // A 4 mV thermal voltage makes the subthreshold tails so steep that
+  // nearly half of the code triples see a branch fully off in every
+  // column: this pins the off-branch (+inf reciprocal) encoding.
+  LikelihoodArrayConfig cfg;
+  cfg.dac_bits = 6;
+  cfg.nmos.thermal_vt_v = 0.004;
+  cfg.pmos.thermal_vt_v = 0.004;
+  core::Rng rng(43);
+  const CimLikelihoodArray arr(cfg, three_components(), rng);
+  const auto [hash, zeros] = code_cube_fingerprint(arr);
+  EXPECT_EQ(hash, kGoldenCold);
+  EXPECT_GT(zeros, 100000u);
 }
 
 TEST_F(LikelihoodArrayTest, RejectsBadConfig) {

@@ -254,6 +254,46 @@ TEST_F(ScenarioTest, CimGainCalibrationRecoversScale) {
   EXPECT_LT(cim.calibrated_gain(), 20.0);
 }
 
+TEST_F(ScenarioTest, CimEvaluationCounterCountsReadsPerScan) {
+  // The CIM backend's ledger: 400 calibration probes at construction, then
+  // one log-ADC read per scored scan pixel, counted once per scan.
+  const LocalizationScenario sc(small_config());
+  const auto cim = sc.make_cim_backend();
+  EXPECT_EQ(cim->evaluation_count(), 400u);
+  const auto& scan = sc.scans()[2];
+  ASSERT_FALSE(scan.pixels.empty());
+  Rng rng(33);
+  cim->log_likelihood(sc.trajectory().poses[3], scan, rng);
+  EXPECT_EQ(cim->evaluation_count(), 400u + scan.pixels.size());
+  cim->log_likelihood(sc.trajectory().poses[2], scan, rng);
+  EXPECT_EQ(cim->evaluation_count(), 400u + 2 * scan.pixels.size());
+}
+
+TEST_F(ScenarioTest, CimEvaluationCounterExactUnderPooledUpdate) {
+  // Particle-block workers score concurrently against one shared array
+  // and bump one shared counter: the count is exact and the weights are
+  // bit-identical at every pool size.
+  const LocalizationScenario sc(small_config());
+  const auto& scan = sc.scans()[2];
+  core::ThreadPool p2(2), p8(8);
+  std::vector<std::vector<double>> weights;
+  for (core::ThreadPool* pool : {(core::ThreadPool*)nullptr, &p2, &p8}) {
+    const auto cim = sc.make_cim_backend();
+    ParticleFilter pf(sc.config().filter);
+    Rng rng(35);
+    pf.init_gaussian(sc.trajectory().poses[3], {0.2, 0.2, 0.1}, 0.1, rng);
+    const std::uint64_t before = cim->evaluation_count();
+    pf.update(scan, *cim, rng, pool);
+    EXPECT_EQ(cim->evaluation_count() - before,
+              pf.particles().size() * scan.pixels.size());
+    std::vector<double> w;
+    for (const auto& p : pf.particles()) w.push_back(p.log_weight);
+    weights.push_back(std::move(w));
+  }
+  EXPECT_EQ(weights[0], weights[1]);
+  EXPECT_EQ(weights[0], weights[2]);
+}
+
 TEST_F(ScenarioTest, GlobalLocalizationConverges) {
   // Uniform init over the whole room: with more particles and the sharp
   // GMM backend the cloud should collapse onto the trajectory.
