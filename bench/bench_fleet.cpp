@@ -114,8 +114,12 @@ int main() {
 
   bench::Suite suite("fleet");
 
+  // The pool only trains the VO regressor (bit-identical at any pool
+  // size); every fleet comparison below runs with pool = nullptr.
+  core::ThreadPool train_pool;
   vo::VoPipelineConfig vo_cfg;
   vo_cfg.test_steps = 40;
+  vo_cfg.pool = &train_pool;
   const vo::VoPipeline vo(vo_cfg);
   cimsram::CimMacroConfig macro;
   macro.input_bits = 6;

@@ -3,11 +3,49 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/thread_pool.hpp"
+
 namespace cimnav::nn {
 namespace {
 
 double relu(double x) { return x > 0.0 ? x : 0.0; }
-double relu_grad(double x) { return x > 0.0 ? 1.0 : 0.0; }
+
+void require_valid(const TrainOptions& opt) {
+  CIMNAV_REQUIRE(opt.batch_size > 0, "batch size must be positive");
+  CIMNAV_REQUIRE(opt.epochs >= 0, "epoch count must be non-negative");
+  CIMNAV_REQUIRE(std::isfinite(opt.learning_rate) && opt.learning_rate > 0.0,
+                 "learning rate must be finite and positive");
+  CIMNAV_REQUIRE(opt.beta1 >= 0.0 && opt.beta1 < 1.0,
+                 "Adam beta1 must lie in [0, 1)");
+  CIMNAV_REQUIRE(opt.beta2 >= 0.0 && opt.beta2 < 1.0,
+                 "Adam beta2 must lie in [0, 1)");
+  CIMNAV_REQUIRE(opt.epsilon > 0.0, "Adam epsilon must be positive");
+}
+
+bool all_finite(const Vector& v) {
+  return std::all_of(v.begin(), v.end(),
+                     [](double e) { return std::isfinite(e); });
+}
+
+/// One Adam step's hyperparameters and bias corrections, held by value so
+/// adam_update's loop keeps them in registers and vectorizes.
+struct AdamStep {
+  double beta1, beta2, learning_rate, epsilon;
+  double bc1, bc2;  ///< bias corrections 1 - beta^t
+  double inv_batch;
+};
+
+/// Adam update of n parameters from their gradient summed over the batch.
+void adam_update(const AdamStep k, const double* grad_sum, double* w,
+                 double* m, double* v, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double g = grad_sum[i] * k.inv_batch;
+    m[i] = k.beta1 * m[i] + (1.0 - k.beta1) * g;
+    v[i] = k.beta2 * v[i] + (1.0 - k.beta2) * g * g;
+    w[i] -= k.learning_rate * (m[i] / k.bc1) /
+            (std::sqrt(v[i] / k.bc2) + k.epsilon);
+  }
+}
 
 }  // namespace
 
@@ -133,141 +171,177 @@ Vector Mlp::forward_masked(const Vector& x,
 
 double Mlp::train_epoch(const std::vector<Vector>& inputs,
                         const std::vector<Vector>& targets,
-                        const TrainOptions& opt, core::Rng& rng) {
+                        const TrainOptions& opt, core::Rng& rng,
+                        core::ThreadPool* pool) {
   CIMNAV_REQUIRE(inputs.size() == targets.size() && !inputs.empty(),
                  "dataset must be non-empty and paired");
-  CIMNAV_REQUIRE(opt.batch_size > 0, "batch size must be positive");
-
-  const std::size_t n = inputs.size();
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  if (opt.shuffle) order = rng.permutation(n);
-
-  const int layers = layer_count();
-  const double keep_scale = 1.0 / (1.0 - config_.dropout_p);
-  double total_loss = 0.0;
-
-  // Per-batch gradient accumulators.
-  std::vector<Matrix> grad_w;
-  std::vector<Vector> grad_b;
-  for (int l = 0; l < layers; ++l) {
-    grad_w.emplace_back(weights_[static_cast<std::size_t>(l)].rows(),
-                        weights_[static_cast<std::size_t>(l)].cols());
-    grad_b.emplace_back(biases_[static_cast<std::size_t>(l)].size(), 0.0);
+  require_valid(opt);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    CIMNAV_REQUIRE(
+        inputs[i].size() == static_cast<std::size_t>(input_size()),
+        "training input width must equal the network's input size");
+    CIMNAV_REQUIRE(
+        targets[i].size() == static_cast<std::size_t>(output_size()),
+        "training target width must equal the network's output size");
+    CIMNAV_REQUIRE(all_finite(inputs[i]) && all_finite(targets[i]),
+                   "training samples must be finite");
   }
 
+  const std::size_t n = inputs.size();
+  std::vector<std::size_t> order;
+  if (opt.shuffle) {
+    rng.permutation_into(n, order);
+  } else {
+    order.resize(n);
+    for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  }
+
+  // Flat per-call buffers with one slot per batch sample. A slot's
+  // activations are [input, layer 1, ..., output] (post-dropout), its
+  // deltas [layer 1, ..., output] (loss gradient w.r.t. each layer's
+  // pre-activation); act_off / delta_off index layer l inside a slot.
+  const int layers = layer_count();
+  std::vector<std::size_t> act_off(1, 0);
+  for (int width : config_.layer_sizes)
+    act_off.push_back(act_off.back() + static_cast<std::size_t>(width));
+  const std::size_t act_stride = act_off.back();
+  const auto delta_off = [&](int l) {  // delta of layer l's output
+    return act_off[static_cast<std::size_t>(l) + 1] - act_off[1];
+  };
+  const std::size_t delta_stride = act_stride - act_off[1];
+  std::size_t mask_stride = 0;
+  for (int s = 0; s < dropout_site_count(); ++s)
+    mask_stride += static_cast<std::size_t>(dropout_site_width(s));
+  // Weight rows of every layer, numbered layer by layer: layer l owns
+  // rows [row_off[l], row_off[l + 1]).
+  std::vector<std::size_t> row_off(1, 0);
+  for (const Matrix& w : weights_)
+    row_off.push_back(row_off.back() + static_cast<std::size_t>(w.rows()));
+
+  const std::size_t max_batch =
+      std::min<std::size_t>(static_cast<std::size_t>(opt.batch_size), n);
+  std::vector<std::uint8_t> masks(max_batch * mask_stride);
+  Vector acts(max_batch * act_stride);
+  Vector deltas(max_batch * delta_stride);
+  Vector sample_loss(max_batch);
+  std::vector<Matrix> grad_w;
+  for (const Matrix& w : weights_) grad_w.emplace_back(w.rows(), w.cols());
+
+  const double keep_scale = 1.0 / (1.0 - config_.dropout_p);
+  const double out_size = static_cast<double>(output_size());
+  std::size_t batch = 0;
   std::size_t processed = 0;
-  while (processed < n) {
-    const std::size_t batch =
-        std::min<std::size_t>(static_cast<std::size_t>(opt.batch_size),
-                              n - processed);
+
+  // Forward with training dropout, loss, and backward deltas for batch
+  // sample bi; touches only that sample's slots.
+  const auto run_sample = [&](std::size_t bi) {
+    const Vector& x = inputs[order[processed + bi]];
+    const Vector& t = targets[order[processed + bi]];
+    const std::uint8_t* m = masks.data() + bi * mask_stride;
+    double* act = acts.data() + bi * act_stride;
+    double* delta = deltas.data() + bi * delta_stride;
+
+    if (config_.dropout_on_input) {
+      for (std::size_t i = 0; i < x.size(); ++i)
+        act[i] = m[i] ? x[i] * keep_scale : 0.0;
+      m += x.size();
+    } else {
+      std::copy(x.begin(), x.end(), act);
+    }
     for (int l = 0; l < layers; ++l) {
-      std::fill(grad_w[static_cast<std::size_t>(l)].data().begin(),
-                grad_w[static_cast<std::size_t>(l)].data().end(), 0.0);
-      std::fill(grad_b[static_cast<std::size_t>(l)].begin(),
-                grad_b[static_cast<std::size_t>(l)].end(), 0.0);
+      const auto lu = static_cast<std::size_t>(l);
+      const double* a = act + act_off[lu];
+      double* z = act + act_off[lu + 1];
+      weights_[lu].matvec_into(a, z);
+      const Vector& b = biases_[lu];
+      for (std::size_t i = 0; i < b.size(); ++i) z[i] += b[i];
+      if (l + 1 < layers) {
+        for (std::size_t i = 0; i < b.size(); ++i) z[i] = relu(z[i]);
+        for (std::size_t i = 0; i < b.size(); ++i)
+          z[i] = m[i] ? z[i] * keep_scale : 0.0;
+        m += b.size();
+      }
     }
 
+    // Loss and output delta (MSE, 1/2 factor absorbed).
+    const double* y = act + act_off[static_cast<std::size_t>(layers)];
+    double* d_out = delta + delta_off(layers - 1);
+    double loss = 0.0;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      const double e = y[i] - t[i];
+      loss += e * e;
+      d_out[i] = 2.0 * e / out_size;
+    }
+    sample_loss[bi] = loss / out_size;
+
+    // Propagate through W, the dropout gate and the ReLU of layer l-1. A
+    // hidden activation is positive exactly when its unit was kept and
+    // its pre-activation was positive, so it stands in for both gates.
+    for (int l = layers - 1; l > 0; --l) {
+      const Matrix& w = weights_[static_cast<std::size_t>(l)];
+      double* prev = delta + delta_off(l - 1);
+      w.matvec_transposed_into(delta + delta_off(l), prev);
+      const double* a = act + act_off[static_cast<std::size_t>(l)];
+      for (int i = 0; i < w.cols(); ++i)
+        prev[i] *= a[i] > 0.0 ? keep_scale : 0.0;
+    }
+  };
+
+  // Batch gradient of one weight row (summed over samples in batch
+  // order, as a serial loop would) followed by its Adam step.
+  AdamStep step{opt.beta1, opt.beta2, opt.learning_rate, opt.epsilon,
+                0.0,       0.0,       0.0};
+  const auto update_row = [&](std::size_t global_row) {
+    const int l = static_cast<int>(
+        std::upper_bound(row_off.begin(), row_off.end(), global_row) -
+        row_off.begin() - 1);
+    const auto lu = static_cast<std::size_t>(l);
+    const std::size_t r = global_row - row_off[lu];
+    const auto cols = static_cast<std::size_t>(weights_[lu].cols());
+    double* gw = grad_w[lu].data().data() + r * cols;
+    std::fill(gw, gw + cols, 0.0);
+    double gb = 0.0;
     for (std::size_t bi = 0; bi < batch; ++bi) {
-      const std::size_t idx = order[processed + bi];
-      const Vector& x = inputs[idx];
-      const Vector& t = targets[idx];
-
-      // Forward pass with training dropout; cache activations/gates.
-      std::vector<Vector> acts;        // post-dropout activations per layer
-      std::vector<Vector> preact;      // z per layer
-      std::vector<Mask> live_masks = sample_masks(
-          [&] { return rng.bernoulli(config_.dropout_p); });
-      std::size_t site = 0;
-      Vector a = x;
-      if (config_.dropout_on_input) {
-        const Mask& m = live_masks[site++];
-        for (std::size_t i = 0; i < a.size(); ++i)
-          a[i] = m[i] ? a[i] * keep_scale : 0.0;
-      }
-      acts.push_back(a);
-      for (int l = 0; l < layers; ++l) {
-        Vector z = weights_[static_cast<std::size_t>(l)].matvec(a);
-        const Vector& b = biases_[static_cast<std::size_t>(l)];
-        for (std::size_t i = 0; i < z.size(); ++i) z[i] += b[i];
-        preact.push_back(z);
-        if (l + 1 < layers) {
-          for (double& v : z) v = relu(v);
-          const Mask& m = live_masks[site++];
-          for (std::size_t i = 0; i < z.size(); ++i)
-            z[i] = m[i] ? z[i] * keep_scale : 0.0;
-        }
-        a = std::move(z);
-        acts.push_back(a);
-      }
-
-      // Loss and output delta (MSE, 1/2 factor absorbed).
-      Vector delta(a.size());
-      double loss = 0.0;
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        const double e = a[i] - t[i];
-        loss += e * e;
-        delta[i] = 2.0 * e / static_cast<double>(a.size());
-      }
-      total_loss += loss / static_cast<double>(a.size());
-
-      // Backward pass.
-      site = static_cast<std::size_t>(dropout_site_count());
-      for (int l = layers - 1; l >= 0; --l) {
-        const Vector& input_act = acts[static_cast<std::size_t>(l)];
-        auto& gw = grad_w[static_cast<std::size_t>(l)];
-        auto& gb = grad_b[static_cast<std::size_t>(l)];
-        for (int r = 0; r < gw.rows(); ++r) {
-          const double d = delta[static_cast<std::size_t>(r)];
-          gb[static_cast<std::size_t>(r)] += d;
-          for (int c = 0; c < gw.cols(); ++c)
-            gw(r, c) += d * input_act[static_cast<std::size_t>(c)];
-        }
-        if (l == 0) break;
-        // Propagate through W, dropout gate, and ReLU of layer l-1.
-        Vector prev =
-            weights_[static_cast<std::size_t>(l)].matvec_transposed(delta);
-        --site;
-        const Mask& m = live_masks[site];
-        const Vector& z_prev = preact[static_cast<std::size_t>(l) - 1];
-        for (std::size_t i = 0; i < prev.size(); ++i) {
-          const double gate = m[i] ? keep_scale : 0.0;
-          prev[i] *= gate * relu_grad(z_prev[i]);
-        }
-        delta = std::move(prev);
-      }
+      const double d = deltas[bi * delta_stride + delta_off(l) + r];
+      const double* a = acts.data() + bi * act_stride + act_off[lu];
+      gb += d;
+      for (std::size_t c = 0; c < cols; ++c) gw[c] += d * a[c];
     }
 
-    // Adam update.
+    AdamSlot& slot = adam_[lu];
+    adam_update(step, gw, weights_[lu].data().data() + r * cols,
+                slot.m_w.data().data() + r * cols,
+                slot.v_w.data().data() + r * cols, cols);
+    adam_update(step, &gb, &biases_[lu][r], &slot.m_b[r], &slot.v_b[r], 1);
+  };
+
+  const auto run_over = [pool](std::size_t count, std::size_t grain,
+                               const auto& body) {
+    const auto chunk = [&body](std::size_t begin, std::size_t end, int) {
+      for (std::size_t i = begin; i < end; ++i) body(i);
+    };
+    if (pool != nullptr)
+      pool->parallel_for(count, grain, chunk);
+    else
+      chunk(0, count, 0);
+  };
+
+  double total_loss = 0.0;
+  while (processed < n) {
+    batch = std::min(max_batch, n - processed);
+    // Dropout masks in the historical draw order: sample by sample, site
+    // by site, one Bernoulli per unit.
+    for (std::size_t i = 0; i < batch * mask_stride; ++i)
+      masks[i] = rng.bernoulli(config_.dropout_p) ? 0 : 1;
+
+    run_over(batch, 1, run_sample);
+    for (std::size_t bi = 0; bi < batch; ++bi) total_loss += sample_loss[bi];
+
     ++adam_steps_;
-    const double bc1 =
-        1.0 - std::pow(opt.beta1, static_cast<double>(adam_steps_));
-    const double bc2 =
-        1.0 - std::pow(opt.beta2, static_cast<double>(adam_steps_));
-    const double inv_batch = 1.0 / static_cast<double>(batch);
-    for (int l = 0; l < layers; ++l) {
-      auto& slot = adam_[static_cast<std::size_t>(l)];
-      auto& w = weights_[static_cast<std::size_t>(l)];
-      auto& gw = grad_w[static_cast<std::size_t>(l)];
-      for (std::size_t i = 0; i < w.data().size(); ++i) {
-        const double g = gw.data()[i] * inv_batch;
-        slot.m_w.data()[i] =
-            opt.beta1 * slot.m_w.data()[i] + (1.0 - opt.beta1) * g;
-        slot.v_w.data()[i] =
-            opt.beta2 * slot.v_w.data()[i] + (1.0 - opt.beta2) * g * g;
-        w.data()[i] -= opt.learning_rate * (slot.m_w.data()[i] / bc1) /
-                       (std::sqrt(slot.v_w.data()[i] / bc2) + opt.epsilon);
-      }
-      auto& b = biases_[static_cast<std::size_t>(l)];
-      auto& gb = grad_b[static_cast<std::size_t>(l)];
-      for (std::size_t i = 0; i < b.size(); ++i) {
-        const double g = gb[i] * inv_batch;
-        slot.m_b[i] = opt.beta1 * slot.m_b[i] + (1.0 - opt.beta1) * g;
-        slot.v_b[i] = opt.beta2 * slot.v_b[i] + (1.0 - opt.beta2) * g * g;
-        b[i] -= opt.learning_rate * (slot.m_b[i] / bc1) /
-                (std::sqrt(slot.v_b[i] / bc2) + opt.epsilon);
-      }
-    }
+    step.bc1 = 1.0 - std::pow(opt.beta1, static_cast<double>(adam_steps_));
+    step.bc2 = 1.0 - std::pow(opt.beta2, static_cast<double>(adam_steps_));
+    step.inv_batch = 1.0 / static_cast<double>(batch);
+    run_over(row_off.back(), 8, update_row);
     processed += batch;
   }
   return total_loss / static_cast<double>(n);

@@ -14,6 +14,10 @@
 #include "core/rng.hpp"
 #include "nn/tensor.hpp"
 
+namespace cimnav::core {
+class ThreadPool;
+}  // namespace cimnav::core
+
 namespace cimnav::nn {
 
 /// Architecture/regularization configuration.
@@ -23,7 +27,9 @@ struct MlpConfig {
   bool dropout_on_input = true;  ///< enables the compute-reuse locus
 };
 
-/// Adam optimizer hyperparameters.
+/// Adam optimizer hyperparameters. Mlp::train_epoch rejects epochs < 0,
+/// batch_size < 1, a learning rate that is not finite and positive,
+/// beta1 or beta2 outside [0, 1), and epsilon <= 0.
 struct TrainOptions {
   int epochs = 60;
   int batch_size = 32;
@@ -72,10 +78,17 @@ class Mlp {
       const std::function<bool()>& drop_draw) const;
 
   /// One epoch of minibatch Adam on MSE loss; returns mean training loss.
-  /// Dropout is active during training (same sites as inference).
+  /// Dropout is active during training (same sites as inference). Every
+  /// input must hold input_size() finite values and every target
+  /// output_size() finite values; bad samples or options are rejected
+  /// before any rng draw or update. Each
+  /// batch's samples run forward/backward over `pool` (nullptr = serial)
+  /// and its weight rows take their Adam step over it; the resulting
+  /// weights, loss and `rng` state are bit-identical at any pool size.
   double train_epoch(const std::vector<Vector>& inputs,
                      const std::vector<Vector>& targets,
-                     const TrainOptions& opt, core::Rng& rng);
+                     const TrainOptions& opt, core::Rng& rng,
+                     core::ThreadPool* pool = nullptr);
 
   /// Mean squared error over a dataset (deterministic forward).
   double evaluate_mse(const std::vector<Vector>& inputs,

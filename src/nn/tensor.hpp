@@ -43,7 +43,14 @@ class Matrix {
   Vector matvec(const Vector& x) const {
     CIMNAV_REQUIRE(x.size() == static_cast<std::size_t>(cols_),
                    "matvec size mismatch");
-    Vector y(static_cast<std::size_t>(rows_), 0.0);
+    Vector y(static_cast<std::size_t>(rows_));
+    matvec_into(x.data(), y.data());
+    return y;
+  }
+
+  /// Unchecked y = A x over raw spans of cols() and rows() values; the
+  /// kernel behind matvec (one row dot per output, in column order).
+  void matvec_into(const double* x, double* y) const {
     for (int r = 0; r < rows_; ++r) {
       double s = 0.0;
       const std::size_t base =
@@ -53,14 +60,21 @@ class Matrix {
              x[static_cast<std::size_t>(c)];
       y[static_cast<std::size_t>(r)] = s;
     }
-    return y;
   }
 
   /// y = A^T x  (rows x cols)^T * (rows) -> (cols).
   Vector matvec_transposed(const Vector& x) const {
     CIMNAV_REQUIRE(x.size() == static_cast<std::size_t>(rows_),
                    "matvec_transposed size mismatch");
-    Vector y(static_cast<std::size_t>(cols_), 0.0);
+    Vector y(static_cast<std::size_t>(cols_));
+    matvec_transposed_into(x.data(), y.data());
+    return y;
+  }
+
+  /// Unchecked y = A^T x over raw spans of rows() and cols() values; the
+  /// kernel behind matvec_transposed (row sweeps in row order).
+  void matvec_transposed_into(const double* x, double* y) const {
+    for (int c = 0; c < cols_; ++c) y[static_cast<std::size_t>(c)] = 0.0;
     for (int r = 0; r < rows_; ++r) {
       const double xr = x[static_cast<std::size_t>(r)];
       const std::size_t base =
@@ -69,7 +83,6 @@ class Matrix {
         y[static_cast<std::size_t>(c)] +=
             data_[base + static_cast<std::size_t>(c)] * xr;
     }
-    return y;
   }
 
  private:

@@ -96,10 +96,10 @@ VoPipeline::VoPipeline(const VoPipelineConfig& config)
     }
   }
 
-  // Train.
+  // Train (on the pool; weights are bit-identical at any pool size).
   for (int e = 0; e < config_.train.epochs; ++e)
     train_mse_ = net_->train_epoch(train_inputs_, train_targets_,
-                                   config_.train, rng);
+                                   config_.train, rng, config_.pool);
   test_mse_ = net_->evaluate_mse(test_inputs_, test_targets_);
 }
 

@@ -57,11 +57,14 @@ struct VoPipelineConfig {
   double observation_noise = 0.005;
   nn::TrainOptions train;
   std::uint64_t seed = 7;
-  /// Worker pool for the CIM MC-Dropout evaluations (nullptr = serial),
-  /// mirroring filter::ScenarioConfig::pool: each frame's T iterations run
-  /// through CimMlp::forward_window and fan out over the pool, so VO runs
-  /// are no longer frame-serial inside. Results are bit-identical at any
-  /// thread count (noise streams are keyed on iteration indices).
+  /// Worker pool for training and for the CIM MC-Dropout evaluations
+  /// (nullptr = serial), mirroring filter::ScenarioConfig::pool. Training
+  /// fans each minibatch's samples and weight rows over it
+  /// (nn::Mlp::train_epoch); each frame's T MC iterations run through
+  /// CimMlp::forward_window and fan out over it. Trained weights and
+  /// every result are bit-identical at any thread count (masks are drawn
+  /// serially, reductions run in sample order, noise streams are keyed on
+  /// iteration indices).
   core::ThreadPool* pool = nullptr;
   /// In-flight frame window for run_cim_mc_streamed (the stage-B batch of
   /// the vo::FramePipeline): MC iterations of up to this many frames are

@@ -2,7 +2,8 @@
 // bit-identity against an AoS reference implementation of the historical
 // filter, resample_to edge cases, arena/pool exhaustion and reuse, and
 // the zero-steady-state-allocation contract (asserted both by the arena
-// counters and by a global operator-new counter in this TU).
+// counters and by a global operator-new counter in this TU), which also
+// bounds the VO regressor's training allocations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include "filter/measurement.hpp"
 #include "filter/motion.hpp"
 #include "filter/particle_filter.hpp"
+#include "nn/mlp.hpp"
 #include "prob/logspace.hpp"
 #include "vision/depth.hpp"
 
@@ -463,6 +465,37 @@ TEST(ZeroAllocation, SteadyStateFilterCyclesNeverTouchTheHeap) {
   // Every frame resampled (threshold 1.0): one pool block cycle each.
   EXPECT_EQ(after.pool_acquires, warm.pool_acquires + 8);
   EXPECT_EQ(after.pool_releases, warm.pool_releases + 8);
+}
+
+TEST(ZeroAllocation, TrainEpochAllocationsDoNotGrowWithSampleCount) {
+  // train_epoch sizes its buffers once per call; no sample, batch or
+  // dropout bit allocates, serially or on a pool.
+  nn::MlpConfig cfg;
+  cfg.layer_sizes = {16, 32, 8, 2};
+  cfg.dropout_p = 0.2;
+  const auto allocs_per_epoch = [&cfg](int samples, ThreadPool* pool) {
+    Rng rng(21);
+    nn::Mlp net(cfg, rng);
+    std::vector<nn::Vector> X, Y;
+    for (int i = 0; i < samples; ++i) {
+      nn::Vector x(16);
+      for (double& v : x) v = rng.uniform();
+      Y.push_back({x[0] - x[1], x[2] + x[3]});
+      X.push_back(std::move(x));
+    }
+    const nn::TrainOptions opt;
+    g_heap_allocs.store(0);
+    g_count_heap.store(true);
+    net.train_epoch(X, Y, opt, rng, pool);
+    g_count_heap.store(false);
+    return g_heap_allocs.load();
+  };
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    // 48 samples make two batches, 1000 make 32.
+    EXPECT_EQ(allocs_per_epoch(1000, p), allocs_per_epoch(48, p))
+        << (p != nullptr ? "pooled" : "serial");
+  }
 }
 
 }  // namespace

@@ -2,10 +2,14 @@
 // quantized inference, CIM-executed inference and compute reuse.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "core/rng.hpp"
 #include "core/stats.hpp"
+#include "core/thread_pool.hpp"
 #include "nn/cim_mlp.hpp"
 #include "nn/mlp.hpp"
 #include "nn/quant_mlp.hpp"
@@ -160,6 +164,212 @@ TEST(Mlp, TrainingLossDecreases) {
   double last = first;
   for (int e = 0; e < 30; ++e) last = net.train_epoch(X, Y, opt, rng);
   EXPECT_LT(last, first);
+}
+
+/// FNV-1a-style fold of a double's bit pattern.
+std::uint64_t fold(std::uint64_t h, double v) {
+  return (h ^ std::bit_cast<std::uint64_t>(v)) * 0x100000001b3ull;
+}
+
+/// Hash of every weight and bias (layer by layer), then `mse`.
+std::uint64_t trained_hash(const Mlp& net, double mse) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (int l = 0; l < net.layer_count(); ++l) {
+    for (double w : net.weights(l).data()) h = fold(h, w);
+    for (double b : net.biases(l)) h = fold(h, b);
+  }
+  return fold(h, mse);
+}
+
+/// A net shaped like VoPipeline's regressor (144 -> 128 -> 64 -> 4,
+/// hidden-site dropout) and 200 random samples: six full batches of 32
+/// and a partial batch of 8.
+struct VoShapedTask {
+  Rng rng{2024};
+  Mlp net{[] {
+            MlpConfig cfg;
+            cfg.layer_sizes = {144, 128, 64, 4};
+            cfg.dropout_p = 0.2;
+            cfg.dropout_on_input = false;
+            return cfg;
+          }(),
+          rng};
+  std::vector<Vector> X, Y;
+
+  VoShapedTask() {
+    for (int i = 0; i < 200; ++i) {
+      Vector x(144);
+      for (double& v : x) v = rng.uniform();
+      X.push_back(std::move(x));
+      Y.push_back({rng.uniform(-0.15, 0.15), rng.uniform(-0.15, 0.15),
+                   rng.uniform(-0.15, 0.15), rng.uniform(-0.12, 0.12)});
+    }
+  }
+};
+
+/// A small net with input-site dropout, trained in dataset order
+/// (shuffle off) in batches of 8 over 45 samples.
+struct InputDropoutTask {
+  Rng rng{77};
+  Mlp net{[] {
+            MlpConfig cfg;
+            cfg.layer_sizes = {6, 12, 3};
+            cfg.dropout_p = 0.3;
+            cfg.dropout_on_input = true;
+            return cfg;
+          }(),
+          rng};
+  std::vector<Vector> X, Y;
+  TrainOptions opt;
+
+  InputDropoutTask() {
+    for (int i = 0; i < 45; ++i) {
+      Vector x(6);
+      for (double& v : x) v = rng.uniform();
+      Y.push_back({x[0] - x[1], x[2] * x[3], 0.5 * x[4] + x[5]});
+      X.push_back(std::move(x));
+    }
+    opt.batch_size = 8;
+    opt.shuffle = false;
+  }
+};
+
+// Pinned from the per-sample serial training loop that preceded the
+// pooled one, on x86-64. Backward and Adam multiply-adds contract to FMA
+// when the target has it (-march=native on an FMA host), so each build
+// kind has its own value; the losses and rng draws agree across both.
+#if defined(__FMA__)
+constexpr std::uint64_t kGoldenVoShaped = 0x71480e205cae1b0eull;
+constexpr std::uint64_t kGoldenInputDropout = 0xd4201b0a6d6fb492ull;
+#else
+constexpr std::uint64_t kGoldenVoShaped = 0xcf2f9f9217151a98ull;
+constexpr std::uint64_t kGoldenInputDropout = 0xb5f72cfc61a4ab95ull;
+#endif
+
+TEST(TrainEpoch, MatchesPinnedWeightHash) {
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "golden hashes are pinned for x86-64 only";
+#endif
+  VoShapedTask vo;
+  double mse = 0.0;
+  for (int e = 0; e < 3; ++e)
+    mse = vo.net.train_epoch(vo.X, vo.Y, TrainOptions{}, vo.rng);
+  EXPECT_EQ(trained_hash(vo.net, mse), kGoldenVoShaped);
+  EXPECT_EQ(mse, 0x1.30b22062b5f61p-3);
+  EXPECT_EQ(vo.rng(), 0x7d756c704d501ed3ull);
+
+  InputDropoutTask in;
+  for (int e = 0; e < 4; ++e)
+    mse = in.net.train_epoch(in.X, in.Y, in.opt, in.rng);
+  EXPECT_EQ(trained_hash(in.net, mse), kGoldenInputDropout);
+  EXPECT_EQ(mse, 0x1.3a4fe6e9e1fd1p+0);
+  EXPECT_EQ(in.rng(), 0xb54096f882b6b0e7ull);
+}
+
+TEST(TrainEpoch, BitIdenticalAtAnyPoolSize) {
+  // Two epochs, so the second one's steps read Adam moments the first
+  // one wrote: weights, loss and the rng's next draw must not depend on
+  // the pool.
+  struct Outcome {
+    std::uint64_t vo_hash, vo_next, in_hash, in_next;
+  };
+  const auto train = [](core::ThreadPool* pool) {
+    Outcome o{};
+    VoShapedTask vo;
+    double mse = 0.0;
+    for (int e = 0; e < 2; ++e)
+      mse = vo.net.train_epoch(vo.X, vo.Y, TrainOptions{}, vo.rng, pool);
+    o.vo_hash = trained_hash(vo.net, mse);
+    o.vo_next = vo.rng();
+    InputDropoutTask in;
+    for (int e = 0; e < 2; ++e)
+      mse = in.net.train_epoch(in.X, in.Y, in.opt, in.rng, pool);
+    o.in_hash = trained_hash(in.net, mse);
+    o.in_next = in.rng();
+    return o;
+  };
+  const Outcome serial = train(nullptr);
+  for (int threads : {1, 2, 4, 8}) {
+    core::ThreadPool pool(threads);
+    const Outcome pooled = train(&pool);
+    EXPECT_EQ(pooled.vo_hash, serial.vo_hash) << threads << " threads";
+    EXPECT_EQ(pooled.vo_next, serial.vo_next) << threads << " threads";
+    EXPECT_EQ(pooled.in_hash, serial.in_hash) << threads << " threads";
+    EXPECT_EQ(pooled.in_next, serial.in_next) << threads << " threads";
+  }
+}
+
+TEST(TrainEpoch, RejectsBadSamplesUpFront) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(151);
+  Mlp net(small_config(0.2), rng);
+  const std::vector<Vector> X{{0.1, 0.2, 0.3, 0.4}, {0.5, 0.6, 0.7, 0.8}};
+  const std::vector<Vector> Y{{0.1, 0.2}, {0.3, 0.4}};
+  const TrainOptions opt;
+  const auto rejects = [&](std::vector<Vector> x, std::vector<Vector> y) {
+    const Matrix w0 = net.weights(0);
+    Rng before = rng;
+    EXPECT_THROW(net.train_epoch(x, y, opt, rng), std::invalid_argument);
+    // Nothing was drawn or updated before the rejection.
+    EXPECT_EQ(net.weights(0).data(), w0.data());
+    EXPECT_EQ(rng(), before());
+  };
+  rejects({{0.1, 0.2, 0.3}, X[1]}, Y);             // input too narrow
+  rejects({X[0], {0.5, 0.6, 0.7, 0.8, 0.9}}, Y);   // input too wide
+  rejects(X, {{0.1}, Y[1]});                        // target too narrow
+  rejects(X, {Y[0], {0.3, 0.4, 0.5}});              // target too wide
+  rejects({X[0], {0.5, nan, 0.7, 0.8}}, Y);         // non-finite input
+  rejects({{inf, 0.2, 0.3, 0.4}, X[1]}, Y);
+  rejects(X, {Y[0], {0.3, -inf}});                  // non-finite target
+  rejects(X, {{nan, 0.2}, Y[1]});
+  rejects(X, {Y[0]});                               // unpaired
+  rejects({}, {});                                  // empty
+  EXPECT_NO_THROW(net.train_epoch(X, Y, opt, rng));
+}
+
+TEST(TrainEpoch, ValidatesTrainOptions) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(157);
+  Mlp net(small_config(0.2), rng);
+  const std::vector<Vector> X{{0.1, 0.2, 0.3, 0.4}};
+  const std::vector<Vector> Y{{0.1, 0.2}};
+  const auto with = [](auto edit) {
+    TrainOptions opt;
+    edit(opt);
+    return opt;
+  };
+  const std::vector<TrainOptions> bad{
+      with([](TrainOptions& o) { o.epochs = -1; }),
+      with([](TrainOptions& o) { o.batch_size = 0; }),
+      with([](TrainOptions& o) { o.learning_rate = 0.0; }),
+      with([](TrainOptions& o) { o.learning_rate = -1e-3; }),
+      with([nan](TrainOptions& o) { o.learning_rate = nan; }),
+      with([inf](TrainOptions& o) { o.learning_rate = inf; }),
+      with([](TrainOptions& o) { o.beta1 = 1.0; }),
+      with([](TrainOptions& o) { o.beta1 = -0.1; }),
+      with([nan](TrainOptions& o) { o.beta1 = nan; }),
+      with([](TrainOptions& o) { o.beta2 = 1.0; }),
+      with([](TrainOptions& o) { o.beta2 = -0.1; }),
+      with([nan](TrainOptions& o) { o.beta2 = nan; }),
+      with([](TrainOptions& o) { o.epsilon = 0.0; }),
+      with([](TrainOptions& o) { o.epsilon = -1e-8; }),
+      with([nan](TrainOptions& o) { o.epsilon = nan; }),
+  };
+  for (std::size_t i = 0; i < bad.size(); ++i)
+    EXPECT_THROW(net.train_epoch(X, Y, bad[i], rng), std::invalid_argument)
+        << "option set " << i;
+  // The edges of each rule are accepted.
+  const std::vector<TrainOptions> good{
+      with([](TrainOptions& o) { o.epochs = 0; }),
+      with([](TrainOptions& o) { o.beta1 = 0.0; }),
+      with([](TrainOptions& o) { o.beta2 = 0.0; }),
+      with([](TrainOptions& o) { o.epsilon = 1e-300; }),
+  };
+  for (std::size_t i = 0; i < good.size(); ++i)
+    EXPECT_NO_THROW(net.train_epoch(X, Y, good[i], rng)) << "option set "
+                                                          << i;
 }
 
 /// One frame of MC iterations through the dense window engine; iteration

@@ -6,6 +6,7 @@
 
 #include "core/rng.hpp"
 #include "core/stats.hpp"
+#include "core/thread_pool.hpp"
 #include "vo/conformal.hpp"
 #include "vo/observation.hpp"
 #include "vo/pipeline.hpp"
@@ -135,6 +136,29 @@ TEST(Conformal, SmallerAlphaWidensInterval) {
   const SplitConformal tight(calib, 0.2);
   const SplitConformal wide(calib, 0.05);
   EXPECT_GT(wide.radius(), tight.radius());
+}
+
+TEST(PipelineTraining, PooledTrainingBitIdenticalToSerial) {
+  // VoPipelineConfig::pool also drives training: the trained network and
+  // both MSEs must equal the serial construction's exactly.
+  VoPipelineConfig cfg;
+  cfg.train_samples = 300;  // ten batches of 32, the last one partial
+  cfg.train.epochs = 3;
+  cfg.hidden_sizes = {32, 16};
+  cfg.test_steps = 20;
+  const VoPipeline serial(cfg);
+  core::ThreadPool pool(4);
+  cfg.pool = &pool;
+  const VoPipeline pooled(cfg);
+  const nn::Mlp& a = serial.network();
+  const nn::Mlp& b = pooled.network();
+  ASSERT_EQ(a.layer_count(), b.layer_count());
+  for (int l = 0; l < a.layer_count(); ++l) {
+    EXPECT_EQ(a.weights(l).data(), b.weights(l).data()) << "layer " << l;
+    EXPECT_EQ(a.biases(l), b.biases(l)) << "layer " << l;
+  }
+  EXPECT_EQ(serial.train_mse(), pooled.train_mse());
+  EXPECT_EQ(serial.test_mse(), pooled.test_mse());
 }
 
 class PipelineFixture : public ::testing::Test {
