@@ -22,7 +22,6 @@
 #include "cimsram/backend.hpp"
 #include "cimsram/cim_macro.hpp"
 #include "cimsram/conformance.hpp"
-#include "cimsram/sharded_macro.hpp"
 #include "core/thread_pool.hpp"
 #include "filter/particle_filter.hpp"
 #include "nn/cim_mlp.hpp"
@@ -399,7 +398,7 @@ int main() {
     if (sink == 42.0) std::printf("%f", sink);
   }
 
-  {  // CIM macro matvec: single call and batch-of-30, per backend.
+  {  // CIM macro matvec: one single call, per backend.
     for (int n : {64, 128}) {
       core::Rng rng(11);
       std::vector<double> w(static_cast<std::size_t>(n) *
@@ -409,53 +408,12 @@ int main() {
       for (auto& v : x) v = rng.uniform();
       core::Rng arng(13);
       const double macs = static_cast<double>(n) * n;
-      const std::vector<std::vector<double>> xs(30, x);
       for (const std::string& be : cimsram::backend_names()) {
         cimsram::CimMacroConfig cfg;
         cfg.backend = be;
         const cimsram::CimMacro macro(w, n, n, cfg, 1.0 / 63.0);
         suite.run("cim_macro_matvec/n=" + std::to_string(n) + "/" + be, 1,
                   macs, "macs", [&] { macro.matvec(x, {}, {}, arng); });
-        suite.run("cim_macro_matvec_batch30/n=" + std::to_string(n) + "/" +
-                      be,
-                  1, 30.0 * macs, "macs",
-                  [&] { macro.matvec_batch(xs, {}, {}, arng); });
-      }
-      if (n == 128) {
-        // Same layer split across 64x64 physical arrays (2x2 shard grid)
-        // behind the MacroLike surface.
-        cimsram::CimMacroConfig cfg;
-        cfg.max_rows = 64;
-        cfg.max_cols = 64;
-        const auto sharded =
-            cimsram::make_macro(w, n, n, cfg, 1.0 / 63.0);
-        const auto sharded1 =
-            suite.run("cim_macro_matvec_batch30/n=128/sharded64x64", 1,
-                      30.0 * macs, "macs",
-                      [&] { sharded->matvec_batch(xs, {}, {}, arng); });
-        // The shard-affine pooled dispatch (one chunk = one shard's
-        // sample run, so a worker streams every sample through one
-        // weight slice before touching the next shard). The serial
-        // 2x2-shard penalty left over is per-shard ADC epilogue work
-        // pinned by bit-identity, so the *tracked* metric is the
-        // portable one: the affine schedule must stay invisible to
-        // results (noise streams keyed on the original sample-major
-        // item index). The within-run speedup is informational — CI
-        // hosts may have a single core.
-        core::ThreadPool shard_pool(8);
-        const auto sharded8 =
-            suite.run("cim_macro_matvec_batch30/n=128/sharded64x64", 8,
-                      30.0 * macs, "macs", [&] {
-                        sharded->matvec_batch(xs, {}, {}, arng, &shard_pool);
-                      });
-        suite.add_summary("sharded_batch_speedup_8t",
-                          sharded1.ns_per_op / sharded8.ns_per_op);
-        core::Rng id_serial(99), id_pooled(99);
-        const auto ys_serial = sharded->matvec_batch(xs, {}, {}, id_serial);
-        const auto ys_pooled =
-            sharded->matvec_batch(xs, {}, {}, id_pooled, &shard_pool);
-        suite.add_summary("sharded_batch_affinity_bit_identity",
-                          ys_serial == ys_pooled ? 1.0 : 0.0);
       }
     }
   }

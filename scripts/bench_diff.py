@@ -46,9 +46,6 @@ TRACKED = {
         # on the filter's arena/pool counters). Exact-match gated.
         "particle_filter_100k_speedup_criterion_met": "stable",
         "particle_filter_100k_zero_alloc_cycle": "stable",
-        # Shard-affine pooled dispatch must keep producing the same bits
-        # as the serial sample-major schedule (rng keys preserved).
-        "sharded_batch_affinity_bit_identity": "stable",
         # Conformance sweep embedded in bench_micro (quick tier): every
         # case must pass, and dropping a registered backend from the
         # sweep is a regression.

@@ -9,11 +9,6 @@
 namespace cimnav::cimsram {
 namespace {
 
-// Column-block granularity of the batched fan-out. Small enough to spread
-// a single wide layer over the pool, big enough that a block amortizes its
-// derived noise stream.
-constexpr int kColumnBlock = 32;
-
 MacroWorkspace& tls_workspace() {
   thread_local MacroWorkspace ws;
   return ws;
@@ -184,7 +179,7 @@ void encode_input_planes(const std::vector<double>& x, int n_in,
                  "input bits must be in [1, 12]");
   const int words = (n_in + 63) / 64;
   const std::size_t stride = static_cast<std::size_t>(words);
-  const int max_code = (1 << input_bits) - 1;
+  const double max_code = static_cast<double>((1 << input_bits) - 1);
   enc.planes.assign(static_cast<std::size_t>(input_bits) * stride, 0);
   // Word-at-a-time: accumulate the word's bit planes in registers, store
   // once per plane (the per-bit read-modify-write of the naive loop is
@@ -194,12 +189,13 @@ void encode_input_planes(const std::vector<double>& x, int n_in,
     const int i0 = w * 64;
     const int i1 = std::min(i0 + 64, n_in);
     for (int i = i0; i < i1; ++i) {
-      // Truncation of (x / s + 0.5) equals lround(x / s) for every value
-      // the [0, max] clamp can produce, and inlines where lround would not.
-      const auto code = static_cast<int>(
-          x[static_cast<std::size_t>(i)] * inv_input_scale + 0.5);
-      const std::uint32_t q =
-          static_cast<std::uint32_t>(std::clamp(code, 0, max_code));
+      // Clamp in double, then truncate: (x / s + 0.5) truncated equals
+      // lround(x / s) on [0, max], and inlines where lround would not.
+      // The argument order sends NaN to 0 (both comparisons are false),
+      // and no value reaches the integer conversion out of range.
+      const double t = x[static_cast<std::size_t>(i)] * inv_input_scale + 0.5;
+      const auto q = static_cast<std::uint32_t>(
+          std::min(std::max(0.0, t), max_code));
       // Branchless scatter: data-dependent skips mispredict on real
       // activations; input_bits unconditional ORs are cheaper.
       for (int b = 0; b < input_bits; ++b)
@@ -209,12 +205,6 @@ void encode_input_planes(const std::vector<double>& x, int n_in,
       enc.planes[static_cast<std::size_t>(b) * stride +
                  static_cast<std::size_t>(w)] = acc[b];
   }
-}
-
-std::uint32_t CimMacro::quantize_input(double x) const {
-  const int max_code = (1 << config_.input_bits) - 1;
-  const auto code = static_cast<int>(x * inv_input_scale_ + 0.5);
-  return static_cast<std::uint32_t>(std::clamp(code, 0, max_code));
 }
 
 void CimMacro::encode_input(const std::vector<double>& x,
@@ -375,6 +365,8 @@ void CimMacro::matvec_delta(const EncodedInput& enc,
                             const std::size_t* add_rows, std::size_t n_add,
                             const std::size_t* rem_rows, std::size_t n_rem,
                             core::Rng& rng, std::vector<double>& y) const {
+  CIMNAV_REQUIRE(n_add + n_rem > 0,
+                 "delta read needs at least one changed row");
   CIMNAV_REQUIRE(enc.planes.size() ==
                      static_cast<std::size_t>(config_.input_bits) *
                          static_cast<std::size_t>(words_),
@@ -431,14 +423,6 @@ void CimMacro::run_gated(const EncodedInput& enc,
 void CimMacro::matvec_encoded(const EncodedInput& enc,
                               const std::vector<std::uint64_t>& row_gate,
                               const std::vector<std::uint8_t>& out_mask,
-                              core::Rng& rng, MacroWorkspace& ws,
-                              std::vector<double>& y) const {
-  run_gated(enc, row_gate, out_mask, /*ideal=*/false, &rng, ws, y);
-}
-
-void CimMacro::matvec_encoded(const EncodedInput& enc,
-                              const std::vector<std::uint64_t>& row_gate,
-                              const std::vector<std::uint8_t>& out_mask,
                               core::Rng& rng, std::vector<double>& y) const {
   run_gated(enc, row_gate, out_mask, /*ideal=*/false, &rng, tls_workspace(),
             y);
@@ -471,98 +455,6 @@ std::vector<double> CimMacro::matvec_ideal(
   std::vector<double> y;
   run_gated(ws.enc, ws.gate, out_mask, /*ideal=*/true, nullptr, ws, y);
   return y;
-}
-
-std::vector<std::vector<double>> CimMacro::run_batch(
-    const std::vector<std::vector<double>>& xs,
-    const std::vector<std::uint8_t>& in_mask,
-    const std::vector<std::uint8_t>& out_mask, bool ideal,
-    std::uint64_t noise_root, core::ThreadPool* pool) const {
-  CIMNAV_REQUIRE(in_mask.empty() ||
-                     in_mask.size() == static_cast<std::size_t>(n_in_),
-                 "input mask size mismatch");
-  CIMNAV_REQUIRE(out_mask.empty() ||
-                     out_mask.size() == static_cast<std::size_t>(n_out_),
-                 "output mask size mismatch");
-  std::vector<std::vector<double>> ys(xs.size());
-  if (xs.empty()) return ys;
-  const std::uint8_t* mask_ptr = out_mask.empty() ? nullptr : out_mask.data();
-
-  const std::size_t words = static_cast<std::size_t>(words_);
-  const std::size_t plane_words =
-      static_cast<std::size_t>(config_.input_bits) * words;
-  std::vector<std::uint64_t> gate;
-  pack_row_mask(in_mask, n_in_, gate);
-  std::uint64_t active_rows = 0;
-  for (std::uint64_t g : gate) active_rows += std::popcount(g);
-
-  // Phase 1: quantize + bit-plane-expand + gate every input exactly once.
-  std::vector<std::uint64_t> gated_all(xs.size() * plane_words);
-  const auto encode_range = [&](std::size_t begin, std::size_t end, int) {
-    MacroWorkspace& ws = tls_workspace();
-    for (std::size_t s = begin; s < end; ++s) {
-      encode_input(xs[s], ws.enc);
-      std::uint64_t* dst = gated_all.data() + s * plane_words;
-      for (int b = 0; b < config_.input_bits; ++b) {
-        const std::uint64_t* src =
-            ws.enc.planes.data() + static_cast<std::size_t>(b) * words;
-        std::uint64_t* dst_b = dst + static_cast<std::size_t>(b) * words;
-        for (std::size_t w = 0; w < words; ++w) dst_b[w] = src[w] & gate[w];
-      }
-    }
-  };
-  for (auto& y : ys) y.resize(static_cast<std::size_t>(n_out_));
-
-  // Phase 2: fan (sample x column block) items over the pool. Noise
-  // streams are keyed on the item index, so any partitioning onto workers
-  // yields identical results at any thread count.
-  const MacroView v = view(/*unit_scale=*/false);
-  const std::size_t n_blocks =
-      (static_cast<std::size_t>(n_out_) + kColumnBlock - 1) / kColumnBlock;
-  const auto run_items = [&](std::size_t begin, std::size_t end, int) {
-    for (std::size_t item = begin; item < end; ++item) {
-      const std::size_t s = item / n_blocks;
-      const std::size_t blk = item % n_blocks;
-      const int col_begin = static_cast<int>(blk) * kColumnBlock;
-      const int col_end = std::min(col_begin + kColumnBlock, n_out_);
-      if (ideal) {
-        backend_->run_columns(v, gated_all.data() + s * plane_words,
-                              active_rows, mask_ptr, col_begin, col_end,
-                              /*ideal=*/true, nullptr, ys[s].data());
-      } else {
-        core::Rng item_rng = core::Rng::stream(noise_root, item);
-        backend_->run_columns(v, gated_all.data() + s * plane_words,
-                              active_rows, mask_ptr, col_begin, col_end,
-                              /*ideal=*/false, &item_rng, ys[s].data());
-      }
-    }
-  };
-
-  if (pool != nullptr) {
-    pool->parallel_for(xs.size(), 1, encode_range);
-    pool->parallel_for(xs.size() * n_blocks, 1, run_items);
-  } else {
-    encode_range(0, xs.size(), 0);
-    run_items(0, xs.size() * n_blocks, 0);
-  }
-  account(xs.size(), active_rows, count_active_cols(mask_ptr));
-  return ys;
-}
-
-std::vector<std::vector<double>> CimMacro::matvec_batch(
-    const std::vector<std::vector<double>>& xs,
-    const std::vector<std::uint8_t>& in_mask,
-    const std::vector<std::uint8_t>& out_mask, core::Rng& rng,
-    core::ThreadPool* pool) const {
-  return run_batch(xs, in_mask, out_mask, /*ideal=*/false, rng(), pool);
-}
-
-std::vector<std::vector<double>> CimMacro::matvec_ideal_batch(
-    const std::vector<std::vector<double>>& xs,
-    const std::vector<std::uint8_t>& in_mask,
-    const std::vector<std::uint8_t>& out_mask,
-    core::ThreadPool* pool) const {
-  return run_batch(xs, in_mask, out_mask, /*ideal=*/true, 0, pool);
 }
 
 }  // namespace cimnav::cimsram

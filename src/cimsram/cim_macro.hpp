@@ -28,14 +28,16 @@
 //                             extensible) evaluate the gated coincidence
 //                             counts, noise and ADC for a column range.
 //
-// The hot path is allocation-free: an input is quantized and
-// bit-plane-expanded once into an EncodedInput; row gates are packed
-// 64-bit words; all scratch lives in a per-thread MacroWorkspace. Batched
-// entry points fan (samples x column blocks) over a core::ThreadPool with
-// noise streams keyed on work-item indices, so results are bit-identical
-// at any thread count. Activity counters are atomic, may be updated from
-// concurrent workers, and aggregate across composite macros via the
-// MacroStats operators.
+// The surface is the three ops of one MC-Dropout iteration: encode the
+// input once, run one read gated by the word-line and column masks, and
+// (under compute reuse) run one differential delta read. The hot path is
+// allocation-free: an input is quantized and bit-plane-expanded once into
+// an EncodedInput; row gates are packed 64-bit words; all scratch lives in
+// a per-thread MacroWorkspace. A macro runs serially on the calling
+// thread; callers fan work items over a core::ThreadPool themselves, with
+// noise streams keyed on item indices. Activity counters are atomic, may
+// be updated from concurrent workers, and aggregate across composite
+// macros via the MacroStats operators.
 #pragma once
 
 #include <atomic>
@@ -45,7 +47,6 @@
 
 #include "cimsram/backend.hpp"
 #include "core/rng.hpp"
-#include "core/thread_pool.hpp"
 
 namespace cimnav::cimsram {
 
@@ -156,24 +157,15 @@ void pack_row_mask(const std::vector<std::uint8_t>& mask, int n_rows,
 /// Shared encoder behind every MacroLike: quantizes `x` onto the unsigned
 /// grid q = clamp(round(x * inv_input_scale), 0, 2^input_bits - 1) and
 /// expands the codes into packed bit planes (ceil(n_in / 64) words each).
+/// The clamp runs in double before the integer conversion, so every value
+/// has a defined code: NaN and -inf give 0, +inf and any finite value past
+/// the top of the grid give the top code (circuit::clamp_code's contract).
 /// Monolithic and sharded macros with the same input grid produce
 /// identical encodings, which is what lets a shard grid slice one logical
 /// encoding word-wise.
 void encode_input_planes(const std::vector<double>& x, int n_in,
                          int input_bits, double inv_input_scale,
                          EncodedInput& enc);
-
-/// Physical-geometry snapshot of one logical layer, surfaced so the
-/// conformance harness can enumerate and label cases (repro strings)
-/// without downcasting to the concrete macro type.
-struct MacroGeometry {
-  int n_in = 0;
-  int n_out = 0;
-  int words = 0;      ///< packed gate words per bit plane
-  int planes = 0;     ///< weight magnitude planes (weight_bits - 1)
-  int grid_rows = 1;  ///< physical shard grid (1 x 1 = monolithic)
-  int grid_cols = 1;
-};
 
 /// The consumer-facing surface of one logical CIM layer. Implemented by
 /// the monolithic CimMacro and by ShardedMacro (a grid of CimMacros);
@@ -190,17 +182,15 @@ class MacroLike {
   virtual int gate_words() const = 0;
   virtual double input_scale() const = 0;
   virtual const CimMacroConfig& config() const = 0;
-  /// Physical geometry (shard grid dimensions for composite macros).
-  virtual MacroGeometry geometry() const = 0;
 
   /// Quantizes and bit-plane-expands `x` once; the encoding can then be
   /// replayed against any number of row gates / output masks.
   virtual void encode_input(const std::vector<double>& x,
                             EncodedInput& enc) const = 0;
 
-  /// Low-level gated product on a pre-packed row gate (gate_words() words;
-  /// bits past n_in must be clear). This is the engine primitive every
-  /// other entry point reduces to. `y` is resized to n_out.
+  /// Gated product on a pre-packed row gate (gate_words() words; bits
+  /// past n_in must be clear): one read of an MC-Dropout iteration. `y`
+  /// is resized to n_out.
   virtual void matvec_encoded(const EncodedInput& enc,
                               const std::vector<std::uint64_t>& row_gate,
                               const std::vector<std::uint8_t>& out_mask,
@@ -224,7 +214,8 @@ class MacroLike {
   /// not the layer width; MacroStats prices exactly the |A| + |D| driven
   /// lines and ONE conversion set (half the two-op formulation).
   /// Allocation-free in steady state. At least one list must be
-  /// non-empty; `rng` advances once per physical op like any other read.
+  /// non-empty (checked before any rng draw or stats update); `rng`
+  /// advances once per physical op like any other read.
   virtual void matvec_delta(const EncodedInput& enc,
                             const std::size_t* add_rows, std::size_t n_add,
                             const std::size_t* rem_rows, std::size_t n_rem,
@@ -236,24 +227,6 @@ class MacroLike {
   virtual std::vector<double> matvec_ideal(
       const std::vector<double>& x, const std::vector<std::uint8_t>& in_mask,
       const std::vector<std::uint8_t>& out_mask) const = 0;
-
-  /// Batched noisy product: every input is encoded once, then work items
-  /// fan out over `pool` (nullptr = serial). Noise streams are keyed on
-  /// work-item indices derived from one draw of `rng`, so results are
-  /// bit-identical at any thread count, including against the serial path.
-  virtual std::vector<std::vector<double>> matvec_batch(
-      const std::vector<std::vector<double>>& xs,
-      const std::vector<std::uint8_t>& in_mask,
-      const std::vector<std::uint8_t>& out_mask, core::Rng& rng,
-      core::ThreadPool* pool = nullptr) const = 0;
-
-  /// Batched ideal product (no noise, exact accumulator); same fan-out and
-  /// the same results as per-sample matvec_ideal calls.
-  virtual std::vector<std::vector<double>> matvec_ideal_batch(
-      const std::vector<std::vector<double>>& xs,
-      const std::vector<std::uint8_t>& in_mask,
-      const std::vector<std::uint8_t>& out_mask,
-      core::ThreadPool* pool = nullptr) const = 0;
 
   /// Snapshot of the cumulative activity counters (thread-safe). Composite
   /// macros return the aggregate over their shards.
@@ -286,12 +259,8 @@ class CimMacro final : public MacroLike {
   int n_in() const override { return n_in_; }
   int n_out() const override { return n_out_; }
   int gate_words() const override { return words_; }
-  double weight_scale() const { return weight_scale_; }
   double input_scale() const override { return input_scale_; }
   const CimMacroConfig& config() const override { return config_; }
-  MacroGeometry geometry() const override {
-    return {n_in_, n_out_, words_, planes_, 1, 1};
-  }
 
   std::vector<double> matvec(const std::vector<double>& x,
                              const std::vector<std::uint8_t>& in_mask,
@@ -311,33 +280,10 @@ class CimMacro final : public MacroLike {
   void encode_input(const std::vector<double>& x,
                     EncodedInput& enc) const override;
 
-  /// Gated product on an explicit workspace (zero-allocation hot loops).
-  void matvec_encoded(const EncodedInput& enc,
-                      const std::vector<std::uint64_t>& row_gate,
-                      const std::vector<std::uint8_t>& out_mask,
-                      core::Rng& rng, MacroWorkspace& ws,
-                      std::vector<double>& y) const;
-
-  /// Same, on the thread-local workspace.
   void matvec_encoded(const EncodedInput& enc,
                       const std::vector<std::uint64_t>& row_gate,
                       const std::vector<std::uint8_t>& out_mask,
                       core::Rng& rng, std::vector<double>& y) const override;
-
-  std::vector<std::vector<double>> matvec_batch(
-      const std::vector<std::vector<double>>& xs,
-      const std::vector<std::uint8_t>& in_mask,
-      const std::vector<std::uint8_t>& out_mask, core::Rng& rng,
-      core::ThreadPool* pool = nullptr) const override;
-
-  std::vector<std::vector<double>> matvec_ideal_batch(
-      const std::vector<std::vector<double>>& xs,
-      const std::vector<std::uint8_t>& in_mask,
-      const std::vector<std::uint8_t>& out_mask,
-      core::ThreadPool* pool = nullptr) const override;
-
-  /// Quantized integer input code for an activation (test access).
-  std::uint32_t quantize_input(double x) const;
 
   MacroStats stats() const override;
   void reset_stats() const override;
@@ -381,13 +327,6 @@ class CimMacro final : public MacroLike {
                  const std::vector<std::uint8_t>& out_mask, bool ideal,
                  core::Rng* rng, MacroWorkspace& ws,
                  std::vector<double>& y) const;
-
-  /// Shared implementation of the batched entry points.
-  std::vector<std::vector<double>> run_batch(
-      const std::vector<std::vector<double>>& xs,
-      const std::vector<std::uint8_t>& in_mask,
-      const std::vector<std::uint8_t>& out_mask, bool ideal,
-      std::uint64_t noise_root, core::ThreadPool* pool) const;
 
   MacroView view(bool unit_scale) const;
 

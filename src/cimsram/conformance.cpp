@@ -10,15 +10,15 @@
 #include "core/rng.hpp"
 #include "core/stat_tolerances.hpp"
 #include "core/stats.hpp"
-#include "core/thread_pool.hpp"
 
 namespace cimnav::cimsram::conformance {
 namespace {
 
 using core::Rng;
 
-// splitmix64: deterministic per-case seeds from the table indices, so a
-// case's draws never depend on how the table was pruned or ordered.
+// splitmix64: deterministic per-case seeds from the case's own coordinates
+// (see cases_for), so a case's draws never depend on how the table was
+// pruned or ordered.
 std::uint64_t mix(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -27,14 +27,6 @@ std::uint64_t mix(std::uint64_t x) {
 }
 
 constexpr double kInputScale = 1.0 / 63.0;  // 6-bit activation grid
-
-// The pool behind every kPooled case. Function-local static: built on
-// first use, shared across cases (3 workers is enough to make a reorder
-// of the fan-out visible).
-core::ThreadPool& case_pool() {
-  static core::ThreadPool pool(3);
-  return pool;
-}
 
 std::vector<double> case_weights(const CaseSpec& c) {
   Rng rng = Rng::stream(c.seed, 0xCADu);
@@ -51,7 +43,7 @@ CimMacroConfig case_config(const CaseSpec& c, std::string_view backend_name) {
   cfg.max_cols = c.geom.max_cols;
   switch (c.mode) {
     case NoiseMode::kIdeal:
-      break;  // defaults; matvec_ideal* ignores the noise model anyway
+      break;  // defaults; matvec_ideal ignores the noise model anyway
     case NoiseMode::kAdcOnly:
       cfg.analog_noise = false;
       cfg.adc_bits = 4;  // coarse: quantization is the whole point
@@ -77,7 +69,8 @@ struct Checker {
 
   /// Element-wise bitwise comparison of two output vectors.
   void expect_bitwise(const std::vector<double>& got,
-                      const std::vector<double>& want, const char* label) {
+                      const std::vector<double>& want,
+                      const std::string& label) {
     if (got.size() != want.size()) {
       std::ostringstream os;
       os << label << ": size " << got.size() << " vs " << want.size();
@@ -96,32 +89,7 @@ struct Checker {
       }
     }
   }
-
-  void expect_bitwise_batch(const std::vector<std::vector<double>>& got,
-                            const std::vector<std::vector<double>>& want,
-                            const char* label) {
-    if (got.size() != want.size()) {
-      fail(std::string(label) + ": batch size mismatch");
-      return;
-    }
-    for (std::size_t s = 0; s < got.size(); ++s) {
-      std::ostringstream os;
-      os << label << " sample " << s;
-      expect_bitwise(got[s], want[s], os.str().c_str());
-      if (!result.pass) return;
-    }
-  }
 };
-
-std::vector<std::vector<double>> case_batch_inputs(
-    const CaseSpec& c, std::uint64_t first_sample, int count,
-    std::vector<std::uint8_t>& in_mask, std::vector<std::uint8_t>& out_mask) {
-  std::vector<std::vector<double>> xs(static_cast<std::size_t>(count));
-  for (int s = 0; s < count; ++s)
-    make_case_input(c, first_sample + static_cast<std::uint64_t>(s),
-                    xs[static_cast<std::size_t>(s)], in_mask, out_mask);
-  return xs;
-}
 
 // ---------------------------------------------------------------- ideal
 
@@ -129,56 +97,25 @@ CaseResult check_ideal(const CaseSpec& c) {
   Checker ck{c, {}};
   const auto test = make_case_macro(c, c.backend);
   const auto ref = make_case_macro(c, "reference");
+  // Shard-reduction identity: a grid must produce the monolithic macro's
+  // exact bits (scale-last integer reduction).
+  std::unique_ptr<MacroLike> mono_ref;
+  if (c.geom.sharded()) {
+    CaseSpec mono = c;
+    mono.geom.max_rows = 0;
+    mono.geom.max_cols = 0;
+    mono_ref = make_case_macro(mono, "reference");
+  }
   std::vector<std::uint8_t> im, om;
-
-  switch (c.dispatch) {
-    case Dispatch::kSingle: {
-      std::vector<double> x;
-      make_case_input(c, 0, x, im, om);
-      ck.expect_bitwise(test->matvec_ideal(x, im, om),
-                        ref->matvec_ideal(x, im, om), "ideal/single");
-      if (c.geom.sharded()) {
-        // Shard-reduction identity: the grid must produce the monolithic
-        // macro's exact bits (scale-last integer reduction).
-        CaseSpec mono = c;
-        mono.geom.max_rows = 0;
-        mono.geom.max_cols = 0;
-        const auto mono_ref = make_case_macro(mono, "reference");
-        ck.expect_bitwise(test->matvec_ideal(x, im, om),
-                          mono_ref->matvec_ideal(x, im, om),
-                          "ideal/shard-vs-monolithic");
-      }
-      break;
-    }
-    case Dispatch::kBatch: {
-      const auto xs = case_batch_inputs(c, 0, 5, im, om);
-      ck.expect_bitwise_batch(test->matvec_ideal_batch(xs, im, om),
-                              ref->matvec_ideal_batch(xs, im, om),
-                              "ideal/batch");
-      break;
-    }
-    case Dispatch::kPooled: {
-      const auto xs = case_batch_inputs(c, 0, 6, im, om);
-      const auto pooled =
-          test->matvec_ideal_batch(xs, im, om, &case_pool());
-      ck.expect_bitwise_batch(pooled, test->matvec_ideal_batch(xs, im, om),
-                              "ideal/pooled-vs-serial");
-      ck.expect_bitwise_batch(pooled, ref->matvec_ideal_batch(xs, im, om),
-                              "ideal/pooled-vs-reference");
-      break;
-    }
-    case Dispatch::kMultiJob: {
-      for (std::uint64_t job = 0; job < 3; ++job) {
-        const auto xs = case_batch_inputs(c, job * 8, 3, im, om);
-        std::ostringstream os;
-        os << "ideal/multijob " << job;
-        ck.expect_bitwise_batch(test->matvec_ideal_batch(xs, im, om),
-                                ref->matvec_ideal_batch(xs, im, om),
-                                os.str().c_str());
-        if (!ck.result.pass) break;
-      }
-      break;
-    }
+  std::vector<double> x;
+  for (std::uint64_t s = 0; s < 5 && ck.result.pass; ++s) {
+    make_case_input(c, s, x, im, om);
+    const std::string at = " sample " + std::to_string(s);
+    const auto y = test->matvec_ideal(x, im, om);
+    ck.expect_bitwise(y, ref->matvec_ideal(x, im, om), "ideal/single" + at);
+    if (mono_ref)
+      ck.expect_bitwise(y, mono_ref->matvec_ideal(x, im, om),
+                        "ideal/shard-vs-monolithic" + at);
   }
   return ck.result;
 }
@@ -190,25 +127,15 @@ CaseResult check_adc(const CaseSpec& c) {
   const auto test = make_case_macro(c, c.backend);
   const auto ref = make_case_macro(c, "reference");
   std::vector<std::uint8_t> im, om;
-
-  if (c.dispatch == Dispatch::kSingle) {
-    for (std::uint64_t s = 0; s < 3; ++s) {
-      std::vector<double> x;
-      make_case_input(c, s, x, im, om);
-      // Noise is off, so the noisy entry points are deterministic: the
-      // rngs differ per macro and must not matter.
-      Rng rt(c.seed ^ 0x17), rr(c.seed ^ 0x23), rt2(c.seed ^ 0x31);
-      const auto yt = test->matvec(x, im, om, rt);
-      ck.expect_bitwise(yt, ref->matvec(x, im, om, rr), "adc/single");
-      ck.expect_bitwise(yt, test->matvec(x, im, om, rt2),
-                        "adc/determinism");
-      if (!ck.result.pass) break;
-    }
-  } else {  // kBatch
-    const auto xs = case_batch_inputs(c, 0, 5, im, om);
-    Rng rt(c.seed ^ 0x41), rr(c.seed ^ 0x43);
-    ck.expect_bitwise_batch(test->matvec_batch(xs, im, om, rt),
-                            ref->matvec_batch(xs, im, om, rr), "adc/batch");
+  std::vector<double> x;
+  for (std::uint64_t s = 0; s < 3 && ck.result.pass; ++s) {
+    make_case_input(c, s, x, im, om);
+    // Noise is off, so the noisy entry point is deterministic: the rngs
+    // differ per macro and must not matter.
+    Rng rt(c.seed ^ 0x17), rr(c.seed ^ 0x23), rt2(c.seed ^ 0x31);
+    const auto yt = test->matvec(x, im, om, rt);
+    ck.expect_bitwise(yt, ref->matvec(x, im, om, rr), "adc/single");
+    ck.expect_bitwise(yt, test->matvec(x, im, om, rt2), "adc/determinism");
   }
   return ck.result;
 }
@@ -217,7 +144,7 @@ CaseResult check_adc(const CaseSpec& c) {
 
 int stat_reps(Tier tier) { return tier == Tier::kFull ? 1200 : 320; }
 
-CaseResult check_statistical(const CaseSpec& c) {
+CaseResult check_analog(const CaseSpec& c) {
   Checker ck{c, {}};
   const auto test = make_case_macro(c, c.backend);
   const auto ref = make_case_macro(c, "reference");
@@ -225,25 +152,44 @@ CaseResult check_statistical(const CaseSpec& c) {
   std::vector<double> x;
   make_case_input(c, 0, x, im, om);
 
+  // Keyed-stream contract every pooled caller relies on: the same stream
+  // reproduces the same bits, and distinct keys decorrelate the noise.
+  Rng k0 = Rng::stream(c.seed, 101), k0_again = Rng::stream(c.seed, 101),
+      k1 = Rng::stream(c.seed, 202);
+  const auto y0 = test->matvec(x, im, om, k0);
+  ck.expect_bitwise(test->matvec(x, im, om, k0_again), y0,
+                    "analog/stream-repro");
+  ++ck.result.checks;
+  if (ck.result.pass && test->matvec(x, im, om, k1) == y0)
+    ck.fail("analog/stream-distinct: different stream keys produced "
+            "identical noisy outputs");
+  if (!ck.result.pass) return ck.result;
+
   if (backend(c.backend).caps().draw_compatible_noise) {
     // Draw-for-draw compatible kernels are held to the strict tier: the
-    // same seed must produce the reference's exact bits on the noisy
+    // same stream must produce the reference's exact bits on the noisy
     // path.
-    const auto xs =
-        std::vector<std::vector<double>>(8, x);
-    Rng rt(c.seed ^ 0x55), rr(c.seed ^ 0x55);
-    ck.expect_bitwise_batch(test->matvec_batch(xs, im, om, rt),
-                            ref->matvec_batch(xs, im, om, rr),
-                            "analog/draw-compatible");
+    for (std::uint64_t k = 0; k < 8 && ck.result.pass; ++k) {
+      Rng rt = Rng::stream(c.seed ^ 0x55, k);
+      Rng rr = Rng::stream(c.seed ^ 0x55, k);
+      ck.expect_bitwise(test->matvec(x, im, om, rt),
+                        ref->matvec(x, im, om, rr),
+                        "analog/draw-compatible sample " + std::to_string(k));
+    }
     return ck.result;
   }
 
+  // Statistical tier: `reps` independent single reads per side, each on
+  // its own keyed stream.
   const int reps = stat_reps(c.tier);
-  const auto xs = std::vector<std::vector<double>>(
-      static_cast<std::size_t>(reps), x);
-  Rng rt(c.seed ^ 0x61), rr(c.seed ^ 0x67);
-  const auto yt = test->matvec_batch(xs, im, om, rt);
-  const auto yr = ref->matvec_batch(xs, im, om, rr);
+  std::vector<std::vector<double>> yt(static_cast<std::size_t>(reps)),
+      yr(static_cast<std::size_t>(reps));
+  for (int k = 0; k < reps; ++k) {
+    Rng rt = Rng::stream(c.seed ^ 0x61, static_cast<std::uint64_t>(k));
+    Rng rr = Rng::stream(c.seed ^ 0x67, static_cast<std::uint64_t>(k));
+    yt[static_cast<std::size_t>(k)] = test->matvec(x, im, om, rt);
+    yr[static_cast<std::size_t>(k)] = ref->matvec(x, im, om, rr);
+  }
 
   const int n_out = c.geom.n_out;
   const double ratio_tol =
@@ -335,58 +281,6 @@ CaseResult check_statistical(const CaseSpec& c) {
       }
     }
   }
-  return ck.result;
-}
-
-CaseResult check_pooled_identity(const CaseSpec& c) {
-  // The batched-dispatch determinism contract, per backend and geometry:
-  // noise streams are keyed on work-item indices, so the pooled fan-out
-  // (including ShardedMacro's shard-affine chunk order, PR 7) must
-  // produce the serial schedule's exact bits.
-  Checker ck{c, {}};
-  const auto test = make_case_macro(c, c.backend);
-  std::vector<std::uint8_t> im, om;
-  const auto xs = case_batch_inputs(c, 0, 6, im, om);
-  Rng ra(c.seed ^ 0x71), rb(c.seed ^ 0x71);
-  ck.expect_bitwise_batch(test->matvec_batch(xs, im, om, rb, &case_pool()),
-                          test->matvec_batch(xs, im, om, ra),
-                          "analog/pooled-vs-serial");
-  return ck.result;
-}
-
-CaseResult check_multijob(const CaseSpec& c) {
-  // Multi-job dispatch: jobs draw from streams keyed off one root. The
-  // schedule must be reproducible run-to-run, and distinct job keys must
-  // actually decorrelate the noise.
-  Checker ck{c, {}};
-  const auto test = make_case_macro(c, c.backend);
-  std::vector<std::uint8_t> im, om;
-  auto run_schedule = [&] {
-    std::vector<std::vector<std::vector<double>>> jobs;
-    for (std::uint64_t job = 0; job < 3; ++job) {
-      const auto xs = case_batch_inputs(c, job * 8, 3, im, om);
-      Rng jr = Rng::stream(c.seed, job);
-      jobs.push_back(test->matvec_batch(xs, im, om, jr));
-    }
-    return jobs;
-  };
-  const auto first = run_schedule();
-  const auto second = run_schedule();
-  for (std::size_t job = 0; job < first.size(); ++job) {
-    std::ostringstream os;
-    os << "analog/multijob-repro job " << job;
-    ck.expect_bitwise_batch(first[job], second[job], os.str().c_str());
-    if (!ck.result.pass) return ck.result;
-  }
-  // Same inputs, different job keys -> different noise somewhere.
-  const auto xs = case_batch_inputs(c, 0, 3, im, om);
-  Rng j0 = Rng::stream(c.seed, 101), j1 = Rng::stream(c.seed, 202);
-  const auto y0 = test->matvec_batch(xs, im, om, j0);
-  const auto y1 = test->matvec_batch(xs, im, om, j1);
-  ++ck.result.checks;
-  if (y0 == y1)
-    ck.fail("analog/multijob-distinct: different job keys produced "
-            "identical noisy outputs");
   return ck.result;
 }
 
@@ -575,9 +469,6 @@ const char* to_string(NoiseMode m) {
 const char* to_string(Dispatch d) {
   switch (d) {
     case Dispatch::kSingle: return "single";
-    case Dispatch::kBatch: return "batch";
-    case Dispatch::kPooled: return "pooled";
-    case Dispatch::kMultiJob: return "multijob";
     case Dispatch::kDelta: return "delta";
   }
   return "?";
@@ -650,9 +541,7 @@ CaseSpec CaseSpec::parse_repro(std::string_view line) {
     } else if (key == "dispatch") {
       c.dispatch = parse_enum(
           val,
-          std::vector<Dispatch>{Dispatch::kSingle, Dispatch::kBatch,
-                                Dispatch::kPooled, Dispatch::kMultiJob,
-                                Dispatch::kDelta},
+          std::vector<Dispatch>{Dispatch::kSingle, Dispatch::kDelta},
           "dispatch");
     } else if (key == "seed") {
       c.seed = std::stoull(val, nullptr, 0);
@@ -701,7 +590,6 @@ std::vector<CaseSpec> cases_for(std::string_view backend_name, Tier tier) {
   std::vector<CaseSpec> out;
   const auto geoms = geometries(tier);
   const auto fams = families();
-  std::uint64_t idx = 0;
   auto push = [&](const CaseGeometry& g, InputFamily f, NoiseMode m,
                   Dispatch d) {
     CaseSpec c;
@@ -711,35 +599,30 @@ std::vector<CaseSpec> cases_for(std::string_view backend_name, Tier tier) {
     c.mode = m;
     c.dispatch = d;
     c.tier = tier;
-    c.seed = mix(idx++ * 0x10001u + static_cast<std::uint64_t>(f) * 131u +
-                 static_cast<std::uint64_t>(m) * 17u +
-                 static_cast<std::uint64_t>(d));
+    // Backend and tier stay out of the seed: every backend runs the same
+    // draws, and a quick-tier case keeps its seed in the full tier.
+    std::uint64_t h = 0;
+    for (int v : {g.n_in, g.n_out, g.max_rows, g.max_cols,
+                  static_cast<int>(f), static_cast<int>(m),
+                  static_cast<int>(d)})
+      h = mix(h ^ static_cast<std::uint64_t>(v));
+    c.seed = h;
     out.push_back(std::move(c));
   };
   for (const auto& g : geoms) {
     for (InputFamily f : fams) {
-      // Ideal path: every dispatch shape, bitwise everywhere.
-      for (Dispatch d : {Dispatch::kSingle, Dispatch::kBatch,
-                         Dispatch::kPooled, Dispatch::kMultiJob})
-        push(g, f, NoiseMode::kIdeal, d);
-      // ADC-only: deterministic noisy entry points, cross-backend
-      // bitwise — only on tie-free geometries (odd monolithic rows).
-      if (mono_odd_rows(g)) {
+      // Ideal path: bitwise everywhere.
+      push(g, f, NoiseMode::kIdeal, Dispatch::kSingle);
+      // ADC-only: deterministic noisy entry point, cross-backend bitwise
+      // — only on tie-free geometries (odd monolithic rows).
+      if (mono_odd_rows(g))
         push(g, f, NoiseMode::kAdcOnly, Dispatch::kSingle);
-        push(g, f, NoiseMode::kAdcOnly, Dispatch::kBatch);
-      }
-      // Analog: statistical vs reference (batch), pooled-vs-serial
-      // bit-identity, and keyed multi-job reproducibility (dense only —
-      // the noise model does not see the input family).
-      push(g, f, NoiseMode::kAnalog, Dispatch::kBatch);
-      push(g, f, NoiseMode::kAnalog, Dispatch::kPooled);
-      if (f == InputFamily::kDense)
-        push(g, f, NoiseMode::kAnalog, Dispatch::kMultiJob);
+      // Analog: statistical vs reference plus the keyed-stream contract.
+      push(g, f, NoiseMode::kAnalog, Dispatch::kSingle);
       // Delta dispatch (differential compute-reuse read): deterministic
       // identities everywhere + cross-backend bitwise on tie-free
-      // geometries; pooled bit-identity and noise statistics vs
-      // reference on the dense family (the noise model does not see the
-      // input family).
+      // geometries; noise statistics vs reference on the dense family
+      // (the noise model does not see the input family).
       push(g, f, NoiseMode::kAdcOnly, Dispatch::kDelta);
       if (f == InputFamily::kDense)
         push(g, f, NoiseMode::kAnalog, Dispatch::kDelta);
@@ -829,14 +712,7 @@ CaseResult run_case(const CaseSpec& c) {
     case NoiseMode::kAdcOnly:
       return check_adc(c);
     case NoiseMode::kAnalog:
-      switch (c.dispatch) {
-        case Dispatch::kPooled:
-          return check_pooled_identity(c);
-        case Dispatch::kMultiJob:
-          return check_multijob(c);
-        default:
-          return check_statistical(c);
-      }
+      return check_analog(c);
   }
   throw std::invalid_argument("conformance: unknown noise mode");
 }

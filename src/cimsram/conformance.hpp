@@ -16,16 +16,14 @@
 //              paths) / bit-plane edge codes with column masks;
 //   noise mode ideal / ADC-only (analog_noise off, coarse ADC) /
 //              analog (noise-dominated);
-//   dispatch   single call / batch / pooled batch / multi-job keyed
-//              streams / differential delta reads (compute reuse).
+//   dispatch   single reads / differential delta reads (compute reuse)
+//              — the two ops an MC-Dropout iteration issues.
 //
 // Check tiers:
 //
 //   bitwise      the ideal path must be bit-identical across backends
 //                (exact integer reduction), sharded grids bit-identical
-//                to the monolithic macro, pooled dispatch bit-identical
-//                to serial (this is where the shard-affine reorder of
-//                the batched dispatch is gated), and the deterministic
+//                to the monolithic macro, and the deterministic
 //                ADC-only path bit-identical cross-backend on tie-free
 //                geometries (odd physical row counts — even row counts
 //                can land counts exactly on an ADC half-code boundary,
@@ -33,8 +31,10 @@
 //                legitimately host-dependent);
 //   statistical  the analog path must be distribution-matched against
 //                reference: per-column Welford moment bounds plus
-//                KS-style quantile checks over keyed rng streams, with
-//                tolerances from core/stat_tolerances.hpp. A backend
+//                KS-style quantile checks over single reads on keyed rng
+//                streams (one stream must reproduce its bits, two keys
+//                must differ), with tolerances from
+//                core/stat_tolerances.hpp. A backend
 //                whose caps() declare draw_compatible_noise is held to
 //                bitwise identity on the noisy path instead.
 //
@@ -66,18 +66,15 @@ enum class InputFamily {
 /// kAdcOnly for their deterministic tier (noise off, coarse ADC) and
 /// kAnalog for the noisy tier.
 enum class NoiseMode {
-  kIdeal,    ///< matvec_ideal* (exact reduction) -> bitwise tier
+  kIdeal,    ///< matvec_ideal (exact reduction)  -> bitwise tier
   kAdcOnly,  ///< analog_noise off, coarse ADC     -> bitwise tier
   kAnalog,   ///< noise-dominated                  -> statistical tier
 };
 
 /// How the case dispatches work.
 enum class Dispatch {
-  kSingle,    ///< one matvec per sample
-  kBatch,     ///< matvec_batch, serial
-  kPooled,    ///< matvec_batch over a ThreadPool vs serial (bit-identity)
-  kMultiJob,  ///< several jobs with rng streams keyed off one root
-  kDelta,     ///< matvec_delta (differential read)
+  kSingle,  ///< one matvec / matvec_ideal per sample
+  kDelta,   ///< matvec_delta (differential read)
 };
 
 /// Sweep depth: kQuick is the CI tier, kFull the nightly tier (more
@@ -108,7 +105,7 @@ struct CaseSpec {
 
   /// Single-line self-contained repro, e.g.
   ///   backend=bitsliced geom=149x37 shard=0x0 family=sparse mode=analog
-  ///   dispatch=batch seed=0x1f3 tier=quick
+  ///   dispatch=single seed=0x1f3 tier=quick
   std::string repro() const;
   /// Inverse of repro(); throws std::invalid_argument on malformed input.
   static CaseSpec parse_repro(std::string_view line);

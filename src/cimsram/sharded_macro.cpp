@@ -1,7 +1,6 @@
 #include "cimsram/sharded_macro.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "core/error.hpp"
@@ -163,6 +162,8 @@ void ShardedMacro::matvec_delta(const EncodedInput& enc,
                                 const std::size_t* rem_rows,
                                 std::size_t n_rem, core::Rng& rng,
                                 std::vector<double>& y) const {
+  CIMNAV_REQUIRE(n_add + n_rem > 0,
+                 "delta read needs at least one changed row");
   CIMNAV_REQUIRE(enc.planes.size() ==
                      static_cast<std::size_t>(config_.input_bits) *
                          static_cast<std::size_t>(words_),
@@ -237,142 +238,6 @@ std::vector<double> ShardedMacro::matvec_ideal(
   std::vector<double> y;
   run_all(ws.enc, ws.gate, out_mask, /*ideal=*/true, nullptr, y);
   return y;
-}
-
-std::vector<std::vector<double>> ShardedMacro::run_batch(
-    const std::vector<std::vector<double>>& xs,
-    const std::vector<std::uint8_t>& in_mask,
-    const std::vector<std::uint8_t>& out_mask, bool ideal,
-    std::uint64_t noise_root, core::ThreadPool* pool) const {
-  CIMNAV_REQUIRE(in_mask.empty() ||
-                     in_mask.size() == static_cast<std::size_t>(n_in_),
-                 "input mask size mismatch");
-  CIMNAV_REQUIRE(out_mask.empty() ||
-                     out_mask.size() == static_cast<std::size_t>(n_out_),
-                 "output mask size mismatch");
-  std::vector<std::vector<double>> ys(xs.size());
-  if (xs.empty()) return ys;
-  const std::uint8_t* mask = out_mask.empty() ? nullptr : out_mask.data();
-
-  const std::size_t stride = static_cast<std::size_t>(words_);
-  const std::size_t plane_words =
-      static_cast<std::size_t>(config_.input_bits) * stride;
-  std::vector<std::uint64_t> gate;
-  pack_row_mask(in_mask, n_in_, gate);
-
-  // Phase 1: encode every sample ONCE into the shared logical layout; all
-  // shards slice the same planes.
-  std::vector<std::uint64_t> enc_all(xs.size() * plane_words);
-  const auto encode_range = [&](std::size_t begin, std::size_t end, int) {
-    MacroWorkspace& ws = tls_workspace();
-    for (std::size_t s = begin; s < end; ++s) {
-      encode_input(xs[s], ws.enc);
-      std::copy(ws.enc.planes.begin(), ws.enc.planes.end(),
-                enc_all.begin() + static_cast<std::ptrdiff_t>(s * plane_words));
-    }
-  };
-
-  // Phase 2: fan (sample x shard) items over the pool into per-(sample,
-  // row-shard) partial buffers. Column shards of one row shard write
-  // disjoint ranges, so items never race.
-  //
-  // Shard-affine schedule: the index space is *shard-major* and the
-  // chunk grain is the sample count, so one chunk = one shard across
-  // every sample — a worker streams all samples through one weight
-  // slice before moving on, instead of re-touching a different shard's
-  // conductance array (and evicting the last one) on every item. The
-  // per-item noise stream stays keyed on the ORIGINAL sample-major item
-  // index, so the schedule change is invisible to results: bit-identical
-  // at any pool size, including the old ordering.
-  const std::size_t rr = static_cast<std::size_t>(grid_rows());
-  const std::size_t cc = static_cast<std::size_t>(grid_cols());
-  const std::size_t n_shards = rr * cc;
-  const std::size_t n_samples = xs.size();
-  const std::size_t out_stride = static_cast<std::size_t>(n_out_);
-  std::vector<double> partials(xs.size() * rr * out_stride);
-  const auto run_items = [&](std::size_t begin, std::size_t end, int) {
-    MacroWorkspace& ws = tls_workspace();
-    for (std::size_t k = begin; k < end; ++k) {
-      const std::size_t shard_idx = k / n_samples;
-      const std::size_t s = k % n_samples;
-      const std::size_t r = shard_idx / cc;
-      const std::size_t c = shard_idx % cc;
-      const std::size_t word_off = static_cast<std::size_t>(row_off_[r] / 64);
-      const int c0 = col_off_[c];
-      const CimMacro& sh = shards_[shard_idx];
-      double* dst = partials.data() + (s * rr + r) * out_stride +
-                    static_cast<std::size_t>(c0);
-      if (ideal) {
-        sh.run_view(enc_all.data() + s * plane_words + word_off, stride,
-                    gate.data() + word_off,
-                    mask == nullptr ? nullptr : mask + c0, /*ideal=*/true,
-                    /*unit_scale=*/true, nullptr, ws, dst);
-      } else {
-        core::Rng item_rng =
-            core::Rng::stream(noise_root, s * n_shards + shard_idx);
-        sh.run_view(enc_all.data() + s * plane_words + word_off, stride,
-                    gate.data() + word_off,
-                    mask == nullptr ? nullptr : mask + c0, /*ideal=*/false,
-                    /*unit_scale=*/true, &item_rng, ws, dst);
-      }
-    }
-  };
-
-  // Phase 3: reduce row shards in fixed order and apply the logical
-  // scales — deterministic for any partitioning of phases 1/2.
-  const auto reduce_range = [&](std::size_t begin, std::size_t end, int) {
-    for (std::size_t s = begin; s < end; ++s) {
-      auto& y = ys[s];
-      y.resize(out_stride);
-      for (int j = 0; j < n_out_; ++j) {
-        if (mask != nullptr && !mask[j]) {
-          y[static_cast<std::size_t>(j)] = 0.0;
-          continue;
-        }
-        double acc = 0.0;
-        for (std::size_t r = 0; r < rr; ++r)
-          acc += partials[(s * rr + r) * out_stride +
-                          static_cast<std::size_t>(j)];
-        y[static_cast<std::size_t>(j)] = acc * weight_scale_ * input_scale_;
-      }
-    }
-  };
-
-  if (pool != nullptr) {
-    // Keep chunks shard-affine (grain divides the per-shard sample run,
-    // so no chunk straddles a shard boundary) while exposing at least
-    // ~4 chunks per worker when the grid is small.
-    std::size_t grain = n_samples;
-    const std::size_t target_chunks =
-        static_cast<std::size_t>(pool->thread_count()) * 4;
-    while (grain > 1 && grain % 2 == 0 &&
-           (xs.size() * n_shards) / grain < target_chunks)
-      grain /= 2;
-    pool->parallel_for(xs.size(), 1, encode_range);
-    pool->parallel_for(xs.size() * n_shards, grain, run_items);
-    pool->parallel_for(xs.size(), 1, reduce_range);
-  } else {
-    encode_range(0, xs.size(), 0);
-    run_items(0, xs.size() * n_shards, 0);
-    reduce_range(0, xs.size(), 0);
-  }
-  return ys;
-}
-
-std::vector<std::vector<double>> ShardedMacro::matvec_batch(
-    const std::vector<std::vector<double>>& xs,
-    const std::vector<std::uint8_t>& in_mask,
-    const std::vector<std::uint8_t>& out_mask, core::Rng& rng,
-    core::ThreadPool* pool) const {
-  return run_batch(xs, in_mask, out_mask, /*ideal=*/false, rng(), pool);
-}
-
-std::vector<std::vector<double>> ShardedMacro::matvec_ideal_batch(
-    const std::vector<std::vector<double>>& xs,
-    const std::vector<std::uint8_t>& in_mask,
-    const std::vector<std::uint8_t>& out_mask,
-    core::ThreadPool* pool) const {
-  return run_batch(xs, in_mask, out_mask, /*ideal=*/true, 0, pool);
 }
 
 MacroStats ShardedMacro::stats() const {

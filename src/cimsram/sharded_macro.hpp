@@ -23,9 +23,9 @@
 //    disturbance, so a column crossing R row shards pays R conversions —
 //    visible in the aggregated MacroStats and the energy model.
 //
-// matvec_batch fans (sample x shard) work items over the ThreadPool with
-// noise streams keyed on the item index; the per-sample reduction runs in
-// fixed shard order, keeping results bit-identical at any thread count.
+// Every op runs its shards serially on the calling thread in fixed
+// (row, column) order, so a caller's per-item stats capture and keyed
+// noise streams see one deterministic sequence.
 #pragma once
 
 #include <memory>
@@ -48,17 +48,12 @@ class ShardedMacro final : public MacroLike {
   int n_out() const override { return n_out_; }
   int gate_words() const override { return words_; }
   double input_scale() const override { return input_scale_; }
-  double weight_scale() const { return weight_scale_; }
   const CimMacroConfig& config() const override { return config_; }
 
   /// Shard-grid geometry (row shards x column shards).
   int grid_rows() const { return static_cast<int>(row_off_.size()) - 1; }
   int grid_cols() const { return static_cast<int>(col_off_.size()) - 1; }
   const CimMacro& shard(int r, int c) const;
-  MacroGeometry geometry() const override {
-    return {n_in_, n_out_, words_, config_.weight_bits - 1, grid_rows(),
-            grid_cols()};
-  }
 
   void encode_input(const std::vector<double>& x,
                     EncodedInput& enc) const override;
@@ -91,18 +86,6 @@ class ShardedMacro final : public MacroLike {
                                    const std::vector<std::uint8_t>& out_mask)
       const override;
 
-  std::vector<std::vector<double>> matvec_batch(
-      const std::vector<std::vector<double>>& xs,
-      const std::vector<std::uint8_t>& in_mask,
-      const std::vector<std::uint8_t>& out_mask, core::Rng& rng,
-      core::ThreadPool* pool = nullptr) const override;
-
-  std::vector<std::vector<double>> matvec_ideal_batch(
-      const std::vector<std::vector<double>>& xs,
-      const std::vector<std::uint8_t>& in_mask,
-      const std::vector<std::uint8_t>& out_mask,
-      core::ThreadPool* pool = nullptr) const override;
-
   /// Aggregate over every shard (physical operation counts).
   MacroStats stats() const override;
   void reset_stats() const override;
@@ -115,13 +98,6 @@ class ShardedMacro final : public MacroLike {
                const std::vector<std::uint64_t>& row_gate,
                const std::vector<std::uint8_t>& out_mask, bool ideal,
                core::Rng* rng, std::vector<double>& y) const;
-
-  /// Shared implementation of the batched entry points.
-  std::vector<std::vector<double>> run_batch(
-      const std::vector<std::vector<double>>& xs,
-      const std::vector<std::uint8_t>& in_mask,
-      const std::vector<std::uint8_t>& out_mask, bool ideal,
-      std::uint64_t noise_root, core::ThreadPool* pool) const;
 
   CimMacroConfig config_;
   int n_in_ = 0;

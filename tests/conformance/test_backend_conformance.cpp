@@ -96,7 +96,7 @@ TEST(ConformanceTable, CoversEveryBackendShardGridsAndAllAxes) {
     }
     EXPECT_EQ(fams.size(), 4u) << b;
     EXPECT_EQ(modes.size(), 3u) << b;
-    EXPECT_EQ(dispatches.size(), 5u) << b;
+    EXPECT_EQ(dispatches.size(), 2u) << b;
     EXPECT_GE(geoms.size(), 4u) << b;
   }
 }
@@ -271,7 +271,7 @@ TEST(ConformanceCatchesBrokenBackends, StatisticalTierCatchesNoiseDefect) {
     const auto r = conf::run_case(c);
     if (r.pass) continue;
     if (c.mode == conf::NoiseMode::kAnalog &&
-        c.dispatch == conf::Dispatch::kBatch) {
+        c.dispatch == conf::Dispatch::kSingle) {
       ++analog_failures;
       if (first_failure.empty()) first_failure = r.failure;
     } else if (c.mode != conf::NoiseMode::kAnalog) {

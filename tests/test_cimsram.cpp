@@ -9,6 +9,7 @@
 
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -420,6 +421,34 @@ TEST_P(CimMacroTest, DeltaRejectsRowsPastTheLayer) {
   EXPECT_EQ(pulses, grid.stats().wordline_pulses);
 }
 
+TEST_P(CimMacroTest, DeltaRejectsEmptyFlipLists) {
+  // A delta read with no changed row is a caller bug: both macro kinds
+  // refuse it before drawing from the rng or touching the counters.
+  CimMacroConfig cfg = base_config();
+  std::vector<double> y;
+  EncodedInput enc;
+  const std::size_t row = 0;
+
+  const CimMacro macro({0.5, -0.5}, 1, 2, cfg, 1.0);
+  macro.encode_input({1.0, 1.0}, enc);
+  Rng rng(83), untouched(83);
+  EXPECT_THROW(macro.matvec_delta(enc, nullptr, 0, nullptr, 0, rng, y),
+               std::invalid_argument);
+  EXPECT_THROW(macro.matvec_delta(enc, &row, 0, &row, 0, rng, y),
+               std::invalid_argument);
+  EXPECT_EQ(macro.stats().matvec_calls, 0u);
+
+  cfg.max_rows = 64;
+  const int n_in = 130;
+  const ShardedMacro grid(std::vector<double>(n_in, 0.25), 1, n_in, cfg,
+                          1.0);
+  grid.encode_input(std::vector<double>(n_in, 1.0), enc);
+  EXPECT_THROW(grid.matvec_delta(enc, nullptr, 0, nullptr, 0, rng, y),
+               std::invalid_argument);
+  EXPECT_EQ(grid.stats().matvec_calls, 0u);
+  EXPECT_EQ(rng(), untouched());
+}
+
 TEST_P(CimMacroTest, GatedMatvecValidatesRowGateWidth) {
   // Regression: the engine core used to index a caller-provided packed row
   // gate without checking its width; a short gate read out of bounds.
@@ -452,6 +481,52 @@ TEST_P(CimMacroTest, GatedMatvecValidatesRowGateWidth) {
   EXPECT_EQ(y.size(), static_cast<std::size_t>(n_out));
   EXPECT_EQ(macro.stats().wordline_pulses,
             macro.stats().analog_cycles * static_cast<std::uint64_t>(n_in));
+}
+
+// Reads input row i's code back out of a packed encoding.
+std::uint32_t encoded_code(const EncodedInput& enc, int n_in, int input_bits,
+                           int i) {
+  const std::size_t words = static_cast<std::size_t>((n_in + 63) / 64);
+  std::uint32_t q = 0;
+  for (int b = 0; b < input_bits; ++b)
+    q |= static_cast<std::uint32_t>(
+             (enc.planes[static_cast<std::size_t>(b) * words +
+                         static_cast<std::size_t>(i / 64)] >>
+              (i % 64)) &
+             1u)
+         << b;
+  return q;
+}
+
+TEST(InputEncoder, SaturatesHugeAndNonFiniteInputs) {
+  // The quantizer clamps before converting to an integer: huge values and
+  // +inf take the top code, -inf and NaN take code 0, and in-range values
+  // keep their rounded code. Same encoder behind both macro kinds.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> x = {1e12, inf,  -inf, std::nan(""),
+                                 0.25, -3.0, 1.0,  10.0};
+  const std::vector<std::uint32_t> want = {63, 63, 0, 0, 16, 0, 63, 63};
+  // The finite stand-ins that quantize to the same codes.
+  const std::vector<double> clamped = {10.0, 10.0, 0.0, 0.0,
+                                       0.25, 0.0,  1.0, 10.0};
+  const int n_in = static_cast<int>(x.size());
+  const auto w = random_weights(4, n_in, 251);
+  CimMacroConfig cfg;  // 6-bit inputs
+  const CimMacro mono(w, 4, n_in, cfg, 1.0 / 63.0);
+  cfg.max_cols = 2;
+  const ShardedMacro grid(w, 4, n_in, cfg, 1.0 / 63.0);
+  ASSERT_EQ(grid.grid_cols(), 2);
+
+  for (const MacroLike* m : {static_cast<const MacroLike*>(&mono),
+                             static_cast<const MacroLike*>(&grid)}) {
+    EncodedInput enc;
+    m->encode_input(x, enc);
+    for (int i = 0; i < n_in; ++i)
+      EXPECT_EQ(encoded_code(enc, n_in, cfg.input_bits, i),
+                want[static_cast<std::size_t>(i)])
+          << "input " << x[static_cast<std::size_t>(i)];
+    EXPECT_EQ(m->matvec_ideal(x, {}, {}), m->matvec_ideal(clamped, {}, {}));
+  }
 }
 
 // ---------------------------------------------------------------------------

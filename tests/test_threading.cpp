@@ -1,7 +1,6 @@
-// Tests for the batched multi-threaded CIM execution engine: thread-pool
-// semantics, derived-stream reproducibility, batch-vs-single-call parity,
-// and bit-exact determinism of MC-Dropout predictions across thread
-// counts.
+// Tests for the multi-threaded CIM execution engine: thread-pool
+// semantics, derived-stream reproducibility, and bit-exact determinism of
+// MC-Dropout predictions across thread counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -106,67 +105,6 @@ TEST(RngFastNormal, MatchesNormalMoments) {
   EXPECT_NEAR(m2 - m * m, 1.0, 0.02);
   // Two-sided 2-sigma tail of the standard normal is ~4.55%.
   EXPECT_NEAR(static_cast<double>(tail) / n, 0.0455, 0.004);
-}
-
-class BatchEngineTest : public ::testing::Test {
- protected:
-  static cimsram::CimMacro make_macro(int n_out, int n_in) {
-    Rng rng(31);
-    std::vector<double> w(static_cast<std::size_t>(n_out) *
-                          static_cast<std::size_t>(n_in));
-    for (auto& v : w) v = rng.normal(0.0, 0.3);
-    cimsram::CimMacroConfig cfg;
-    cfg.input_bits = 4;
-    cfg.weight_bits = 4;
-    return cimsram::CimMacro(w, n_out, n_in, cfg, 1.0 / 15.0);
-  }
-  static std::vector<std::vector<double>> make_inputs(int count, int n,
-                                                      std::uint64_t seed) {
-    Rng rng(seed);
-    std::vector<std::vector<double>> xs(static_cast<std::size_t>(count));
-    for (auto& x : xs) {
-      x.resize(static_cast<std::size_t>(n));
-      for (auto& v : x) v = rng.uniform();
-    }
-    return xs;
-  }
-};
-
-TEST_F(BatchEngineTest, IdealBatchMatchesSingleCallsBitExactly) {
-  const auto macro = make_macro(70, 90);  // off the block/word boundaries
-  const auto xs = make_inputs(9, 90, 37);
-  std::vector<std::uint8_t> in_mask(90, 1), out_mask(70, 1);
-  in_mask[3] = in_mask[64] = 0;
-  out_mask[0] = out_mask[33] = out_mask[69] = 0;
-
-  ThreadPool pool(4);
-  const auto batch = macro.matvec_ideal_batch(xs, in_mask, out_mask, &pool);
-  ASSERT_EQ(batch.size(), xs.size());
-  for (std::size_t s = 0; s < xs.size(); ++s) {
-    const auto single = macro.matvec_ideal(xs[s], in_mask, out_mask);
-    ASSERT_EQ(batch[s].size(), single.size());
-    for (std::size_t j = 0; j < single.size(); ++j)
-      EXPECT_EQ(batch[s][j], single[j]) << "sample " << s << " col " << j;
-  }
-}
-
-TEST_F(BatchEngineTest, NoisyBatchIsThreadCountInvariant) {
-  const auto macro = make_macro(48, 64);
-  const auto xs = make_inputs(7, 64, 41);
-
-  auto run = [&](ThreadPool* pool) {
-    Rng rng(99);  // same root draw -> same per-item noise streams
-    return macro.matvec_batch(xs, {}, {}, rng, pool);
-  };
-  const auto serial = run(nullptr);
-  ThreadPool p2(2), p8(8);
-  const auto two = run(&p2);
-  const auto eight = run(&p8);
-  for (std::size_t s = 0; s < xs.size(); ++s)
-    for (std::size_t j = 0; j < serial[s].size(); ++j) {
-      EXPECT_EQ(serial[s][j], two[s][j]);
-      EXPECT_EQ(serial[s][j], eight[s][j]);
-    }
 }
 
 class McDeterminismTest : public ::testing::Test {
