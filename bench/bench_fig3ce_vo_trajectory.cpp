@@ -18,11 +18,11 @@ int main() {
   using namespace cimnav;
   std::printf("=== Fig. 3(c-e): uncertainty-expressive VO trajectories ===\n\n");
 
-  // MC conditions stream through the frame pipeline: frame_window frames
-  // stay in flight, their MC iterations batched across frames through one
-  // macro dispatch per layer — bit-identical to the per-frame path (see
-  // VoPipeline::run_cim_mc_streamed), so the reproduced figures are
-  // unchanged by the streaming rewire.
+  // MC conditions run one window of frame_window frames at a time, their
+  // MC iterations batched across the window's frames through one macro
+  // dispatch per layer — bit-identical to the per-frame path (see
+  // VoPipeline::run_cim_mc_streamed), so the reproduced figures do not
+  // depend on the window.
   core::ThreadPool pool;
   vo::VoPipelineConfig cfg;
   cfg.pool = &pool;

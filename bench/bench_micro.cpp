@@ -30,7 +30,6 @@
 #include "prob/hmg.hpp"
 #include "prob/logspace.hpp"
 #include "vision/depth.hpp"
-#include "vo/frame_pipeline.hpp"
 
 namespace {
 
@@ -662,15 +661,16 @@ int main() {
           ratio);
     }
 
-    // ---- Streaming frame pipeline: cross-frame MC batching ----
+    // ---- Frame window schedule: cross-frame MC batching ----
     //
-    // A window of frames flows through vo::FramePipeline (input
-    // generation one window ahead, MC iterations batched across frames
-    // through one macro dispatch per layer, consume trailing one window)
-    // versus the serial per-frame driver (make_input -> mc_predict_cim ->
-    // consume, frame at a time). Both paths compute bit-identical
-    // predictions; the ratio isolates the pipelining. One op = a full
-    // kFrames-frame scenario, so items/s is frames per second.
+    // A window loop in the standalone loops' A -> B -> C order (the
+    // window's inputs, then one mc_predict_cim_window call batching every
+    // frame's MC iterations through one macro dispatch per layer, then
+    // consume in frame order) versus the serial per-frame driver
+    // (make_input -> mc_predict_cim -> consume, frame at a time). Both
+    // paths compute bit-identical predictions; the ratio isolates the
+    // cross-frame batching. One op = a full kFrames-frame scenario, so
+    // items/s is frames per second.
     {
       constexpr int kFrames = 8;
       constexpr int kWindow = 4;
@@ -707,14 +707,25 @@ int main() {
                                     int threads) {
         bnn::SoftwareMaskSource masks(core::Rng{11});
         core::Rng arng(13);
-        vo::FramePipelineConfig pcfg;
-        pcfg.window = kWindow;
-        pcfg.pool = pool;
-        pcfg.mc.iterations = kIters;
-        pcfg.mc.dropout_p = kP;
-        vo::FramePipeline pipe(cim, pcfg);
+        bnn::McOptions opt;
+        opt.iterations = kIters;
+        opt.dropout_p = kP;
+        opt.pool = pool;
+        std::vector<nn::Vector> window(kWindow);
+        std::vector<const nn::Vector*> xs;
         return suite.run(name, threads, kFrames, "frames", [&] {
-          pipe.run(kFrames, make_input, consume, masks, arng);
+          for (int w0 = 0; w0 < kFrames; w0 += kWindow) {
+            const int len = std::min(kWindow, kFrames - w0);
+            xs.clear();
+            for (int k = 0; k < len; ++k) {
+              window[static_cast<std::size_t>(k)] = make_input(w0 + k);
+              xs.push_back(&window[static_cast<std::size_t>(k)]);
+            }
+            const auto preds =
+                bnn::mc_predict_cim_window(cim, xs, opt, masks, arng);
+            for (int k = 0; k < len; ++k)
+              consume(w0 + k, preds[static_cast<std::size_t>(k)]);
+          }
         });
       };
 
@@ -734,7 +745,7 @@ int main() {
       suite.add_summary("frame_pipeline_speedup_8t", speedup8);
       suite.add_summary("frame_pipeline_speedup_1t", speedup1);
       std::printf(
-          "\nframe pipeline (window %d) vs serial per-frame driver: "
+          "\nframe window loop (window %d) vs serial per-frame driver: "
           "%.2fx frames/s (8 threads), %.2fx (1 thread)\n\n",
           kWindow, speedup8, speedup1);
     }

@@ -1,8 +1,8 @@
 // Drone localization demo (the paper's Sec. II system) with the full
-// closed autonomy loop: an insect-scale drone flies a named scenario
-// while the streaming frame pipeline overlaps scan rendering (stage A),
-// the MC-Dropout visual-odometry pass on the simulated 8T-SRAM CIM
-// macros (stage B), and the particle-filter step (stage C) on one worker
+// closed autonomy loop: an insect-scale drone flies a named scenario,
+// one window of frames at a time: scan rendering (stage A), the
+// MC-Dropout visual-odometry pass on the simulated 8T-SRAM CIM macros
+// (stage B) and the particle-filter step (stage C), each on one worker
 // pool. Two modes run over identical frames:
 //
 //   open loop    ground-truth controls drive ParticleFilter::predict
@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
                 closed_run.rmse_m / base_run.rmse_m);
   }
 
-  // Determinism contract: the streamed closed-loop run must be
+  // Determinism contract: the windowed closed-loop run must be
   // bit-identical to the serial per-frame loop (policy decisions
   // included — they are pure functions of the frame-ordered signals).
   vo::ClosedLoopConfig serial_cfg = loop_cfg;

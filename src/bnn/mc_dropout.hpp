@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "bnn/mask_source.hpp"
@@ -98,7 +97,10 @@ McPrediction mc_predict_cim(const nn::CimMlp& net, const nn::Vector& x,
 /// Multi-frame MC-Dropout: predicts a whole window of frames in one
 /// cross-frame batched pass (CimMlp::forward_window — one pooled macro
 /// dispatch per layer over every (frame, iteration) item, layer-0
-/// encoding amortized per frame across its iterations).
+/// encoding amortized per frame across its iterations). This is stage B
+/// of the standalone window loops (vo::run_odometry_loop,
+/// vo::VoPipeline::run_cim_mc_streamed); the fleet tick batches many
+/// sessions' windows through mc_predict_cim_jobs instead.
 ///
 /// Determinism: dropout masks and per-frame noise roots are drawn from
 /// `masks`/`analog_rng` in frame order, so the consumption — and every
@@ -108,12 +110,6 @@ McPrediction mc_predict_cim(const nn::CimMlp& net, const nn::Vector& x,
 /// chain-parallel engine (CimMlp::forward_reuse_window): chains are
 /// frame-local, and every chain of the window is one work item of a
 /// single pooled dispatch.
-///
-/// `side_items`/`side_item` append side work to the window's widest macro
-/// dispatch (layer 0): side_item(k) runs once per k < side_items,
-/// concurrently with the dense window — the frame pipeline overlaps its
-/// scan-generation and filter-update stages there. Side work must not
-/// depend on this window's predictions.
 ///
 /// `frame_workloads` (optional) receives one McWorkload per frame of the
 /// window (resized to xs.size()) — the per-frame MacroStats deltas the
@@ -126,8 +122,7 @@ McPrediction mc_predict_cim(const nn::CimMlp& net, const nn::Vector& x,
 std::vector<McPrediction> mc_predict_cim_window(
     const nn::CimMlp& net, const std::vector<const nn::Vector*>& xs,
     const McOptions& options, MaskSource& masks, core::Rng& analog_rng,
-    McWorkload* workload = nullptr, std::size_t side_items = 0,
-    const std::function<void(std::size_t)>& side_item = {},
+    McWorkload* workload = nullptr,
     std::vector<McWorkload>* frame_workloads = nullptr);
 
 /// One session's frame window inside a cross-session batched dispatch
@@ -169,10 +164,8 @@ struct McWindowJob {
 /// Returns the number of non-empty jobs that took a batched engine path
 /// (dense window or pooled reuse) — the fleet bench's dispatch
 /// accounting: one pooled dispatch set replaced that many.
-std::size_t mc_predict_cim_jobs(
-    const nn::CimMlp& net, McWindowJob* jobs, std::size_t n_jobs,
-    core::ThreadPool* pool, std::size_t side_items = 0,
-    const std::function<void(std::size_t)>& side_item = {});
+std::size_t mc_predict_cim_jobs(const nn::CimMlp& net, McWindowJob* jobs,
+                                std::size_t n_jobs, core::ThreadPool* pool);
 
 /// Greedy nearest-neighbour tour over mask sets, keyed by the Hamming
 /// distance of the *input-site* mask (the reuse locus). Returns the

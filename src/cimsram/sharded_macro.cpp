@@ -35,6 +35,15 @@ ShardedMacro::ShardedMacro(const std::vector<double>& weights, int n_out,
   CIMNAV_REQUIRE(weights.size() == static_cast<std::size_t>(n_in) *
                                        static_cast<std::size_t>(n_out),
                  "weight size mismatch");
+  // CimMacro's ranges, checked before the shared grid below shifts by
+  // weight_bits and divides by its magnitude range.
+  CIMNAV_REQUIRE(config.input_bits >= 1 && config.input_bits <= 12,
+                 "input bits must be in [1, 12]");
+  CIMNAV_REQUIRE(config.weight_bits >= 2 && config.weight_bits <= 12,
+                 "weight bits must be in [2, 12]");
+  CIMNAV_REQUIRE(config.adc_bits >= 1 && config.adc_bits <= 16,
+                 "adc bits must be in [1, 16]");
+  CIMNAV_REQUIRE(input_scale > 0.0, "input scale must be positive");
   CIMNAV_REQUIRE(config.max_rows == 0 || config.max_rows % 64 == 0,
                  "shard row bound must be a multiple of 64 (word-aligned "
                  "encoding/gate slices)");

@@ -112,8 +112,6 @@ void CimMlp::finish_layer(Vector& z, const Vector& bias,
 void CimMlp::forward_window(const std::vector<FrameBatch>& frames,
                             core::ThreadPool* pool, WindowScratch& scratch,
                             std::vector<std::vector<Vector>>& outs,
-                            std::size_t side_items,
-                            const std::function<void(std::size_t)>& side_item,
                             std::vector<cimsram::MacroStats>* frame_stats)
     const {
   const std::size_t n_frames = frames.size();
@@ -158,10 +156,6 @@ void CimMlp::forward_window(const std::vector<FrameBatch>& frames,
       thread_local std::vector<std::uint64_t> gate;
       thread_local cimsram::EncodedInput enc_hidden;
       for (std::size_t i = begin; i < end; ++i) {
-        if (i >= n_items) {
-          side_item(i - n_items);
-          continue;
-        }
         const std::size_t f = scratch.frame_of[i];
         const std::size_t t = scratch.iter_of[i];
         // Scoped to the item body: a sharded matvec runs its shards
@@ -193,12 +187,11 @@ void CimMlp::forward_window(const std::vector<FrameBatch>& frames,
         finish_layer(z, bias, col_mask, has_hidden_mask);
       }
     };
-    const std::size_t total = n_items + (l == 0 ? side_items : 0);
-    if (total == 0) continue;
+    if (n_items == 0) continue;
     if (pool != nullptr) {
-      pool->parallel_for(total, 1, body);
+      pool->parallel_for(n_items, 1, body);
     } else {
-      body(0, total, 0);
+      body(0, n_items, 0);
     }
   }
 
@@ -226,8 +219,7 @@ Vector CimMlp::forward_deterministic(const Vector& x, core::Rng& rng) const {
 
 void CimMlp::forward_reuse_window(
     const std::vector<ReuseFrame>& frames, core::ThreadPool* pool,
-    ReuseScratch& scratch, std::size_t side_items,
-    const std::function<void(std::size_t)>& side_item) const {
+    ReuseScratch& scratch) const {
   const int n_layers = layer_count();
   const int expected_sites = (dropout_on_input_ ? 1 : 0) + n_layers - 1;
   const int mask_base = dropout_on_input_ ? 1 : 0;
@@ -279,10 +271,7 @@ void CimMlp::forward_reuse_window(
     tracking = tracking || fr.stats != nullptr;
   }
   const std::size_t n_chains = scratch.rngs.size();
-  if (n_chains == 0) {
-    for (std::size_t k = 0; k < side_items; ++k) side_item(k);
-    return;
-  }
+  if (n_chains == 0) return;
 
   if (tracking) scratch.chain_stats.assign(n_chains, {});
   // Flip lists are bounded by the locus row count; reserving the bound
@@ -290,10 +279,10 @@ void CimMlp::forward_reuse_window(
   // flips more rows than any earlier chain did.
   const std::size_t locus_rows = static_cast<std::size_t>(locus.n_in());
 
-  // One work item per chain (plus the side items): each chain runs its
-  // whole serial loop on its own noise stream, start to finish inside its
-  // work item, so its working buffers can be per worker thread and any
-  // partitioning onto workers gives the same bits.
+  // One work item per chain: each chain runs its whole serial loop on its
+  // own noise stream, start to finish inside its work item, so its working
+  // buffers can be per worker thread and any partitioning onto workers
+  // gives the same bits.
   const auto body = [&](std::size_t b, std::size_t e, int) {
     thread_local std::vector<std::uint64_t> gate;
     thread_local std::vector<std::size_t> added, removed;
@@ -302,10 +291,6 @@ void CimMlp::forward_reuse_window(
     added.reserve(locus_rows);
     removed.reserve(locus_rows);
     for (std::size_t ch = b; ch < e; ++ch) {
-      if (ch >= n_chains) {
-        side_item(ch - n_chains);
-        continue;
-      }
       const ReuseFrame& fr = frames[scratch.chain_frame[ch]];
       const cimsram::ScopedStatsCapture capture(
           fr.stats != nullptr ? &scratch.chain_stats[ch] : nullptr);
@@ -384,11 +369,10 @@ void CimMlp::forward_reuse_window(
       }
     }
   };
-  const std::size_t total = n_chains + side_items;
   if (pool != nullptr) {
-    pool->parallel_for(total, 1, body);
+    pool->parallel_for(n_chains, 1, body);
   } else {
-    body(0, total, 0);
+    body(0, n_chains, 0);
   }
 
   if (tracking) {

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -72,12 +71,13 @@ class CimMlp {
     std::vector<cimsram::MacroStats> item_stats;
   };
 
-  /// Multi-frame batched masked forward — the cross-frame batching entry
-  /// point behind the streaming frame pipeline. All (frame, iteration)
-  /// work items advance through the network layer-synchronously: one
-  /// batched macro dispatch per layer fans every item of the in-flight
-  /// window over `pool`, and each frame's layer-0 input is quantized and
-  /// bit-plane-expanded exactly once for all of its iterations.
+  /// Multi-frame batched masked forward — stage B of the window schedule
+  /// (bnn::mc_predict_cim_window / mc_predict_cim_jobs). All (frame,
+  /// iteration) work items advance through the network
+  /// layer-synchronously: one batched macro dispatch per layer fans every
+  /// item of the window over `pool`, and each frame's layer-0 input is
+  /// quantized and bit-plane-expanded exactly once for all of its
+  /// iterations.
   ///
   /// Determinism: each item owns a persistent noise stream keyed
   /// (noise_root, iteration) that it carries across layers, so results
@@ -85,10 +85,6 @@ class CimMlp {
   /// count and any window size.
   ///
   /// `outs[f][t]` receives frame f's iteration-t output (capacity reused).
-  /// `side_items`/`side_item` optionally append side work to the layer-0
-  /// dispatch (the widest one): side_item(k) runs once for each
-  /// k < side_items, concurrently with the macro work — the frame
-  /// pipeline overlaps its input-generation and consume stages there.
   ///
   /// When `frame_stats` is non-null, it is resized to frames.size() and
   /// entry f receives the *exact* macro accounting of frame f's items
@@ -99,8 +95,6 @@ class CimMlp {
   void forward_window(const std::vector<FrameBatch>& frames,
                       core::ThreadPool* pool, WindowScratch& scratch,
                       std::vector<std::vector<Vector>>& outs,
-                      std::size_t side_items = 0,
-                      const std::function<void(std::size_t)>& side_item = {},
                       std::vector<cimsram::MacroStats>* frame_stats =
                           nullptr) const;
 
@@ -155,14 +149,9 @@ class CimMlp {
   /// Determinism: a chain's rng is touched only by its own work item, so
   /// every output is bit-identical at any pool size, window size and
   /// frame mix.
-  ///
-  /// `side_items`/`side_item` append side work to the chain dispatch,
-  /// mirroring forward_window's contract.
   void forward_reuse_window(const std::vector<ReuseFrame>& frames,
-                            core::ThreadPool* pool, ReuseScratch& scratch,
-                            std::size_t side_items = 0,
-                            const std::function<void(std::size_t)>& side_item =
-                                {}) const;
+                            core::ThreadPool* pool,
+                            ReuseScratch& scratch) const;
 
   /// Aggregate macro activity (sum over layers and shards). Callers
   /// snapshot this around a pass and price the delta through

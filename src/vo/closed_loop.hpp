@@ -2,14 +2,17 @@
 // loop): the MC-Dropout VO posterior *drives* the particle filter instead
 // of being reported next to it.
 //
-// Per frame f, streamed through vo::FramePipeline:
+// Per window of ClosedLoopConfig::window frames, in the fleet tick's
+// order (fleet::FleetEngine runs the same three stages for many sessions):
 //
-//   stage A   render the depth scan and VO feature for frame f (pure
-//             functions of f: keyed rng streams);
-//   stage B   MC-Dropout VO on the CIM macros, iterations batched across
-//             the in-flight window;
-//   stage C   consume frame f's posterior IN FRAME ORDER, before the
-//             measurement update:
+//   stage A   render the depth scan and VO feature of every frame in the
+//             window, fanned over the pool (pure functions of the frame
+//             index: keyed rng streams);
+//   stage B   MC-Dropout VO on the CIM macros: one
+//             bnn::mc_predict_cim_window call batches the iterations of
+//             the whole window;
+//   stage C   consume each frame's posterior IN FRAME ORDER, before the
+//             measurement update (which fans over the pool itself):
 //               closed loop:  control    = posterior mean (dx,dy,dz,dyaw)
 //                             pred noise = base process noise inflated by
 //                                          the per-axis predictive stddev
@@ -26,9 +29,9 @@
 //
 // Because the posterior is consumed only in stage C (never fed back into
 // stages A/B — scans and features depend on the scripted trajectory, not
-// on the filter state), the closed-loop mode inherits the pipeline's
-// determinism contract unchanged: runs are bit-identical at any thread
-// count and any window size to the serial per-frame loop. Policies make
+// on the filter state), the closed-loop mode inherits the window
+// schedule's determinism contract unchanged: runs are bit-identical at
+// any thread count and any window size to the serial per-frame loop. Policies make
 // no rng draws, so the "always" policy is additionally bit-identical to
 // the pre-policy (hardcoded predict -> update) closed loop.
 #pragma once
@@ -69,13 +72,13 @@ filter::MotionNoise posterior_noise(const bnn::McPrediction& pred,
 /// Configuration of one odometry run over a LocalizationScenario.
 struct ClosedLoopConfig {
   OdometryMode mode = OdometryMode::kClosedLoop;
-  /// Stage-B frame window (>= 1; 1 degenerates to frame-at-a-time).
+  /// Frames per window (>= 1; 1 degenerates to frame-at-a-time).
   int window = 4;
-  /// Worker pool shared by all pipeline stages and the filter update
+  /// Worker pool shared by stage A, stage B and the filter update
   /// (nullptr = serial; results are bit-identical either way).
   core::ThreadPool* pool = nullptr;
-  /// MC-Dropout options for the VO pass (mc.pool is ignored — the
-  /// pipeline's pool drives every stage).
+  /// MC-Dropout options for the VO pass (mc.pool is ignored — `pool`
+  /// drives every stage, as in the fleet tick).
   bnn::McOptions mc;
   /// Closed-loop noise inflation (ignored open-loop).
   filter::NoiseInflation inflation;
@@ -164,17 +167,18 @@ struct ClosedLoopRun {
   int final_particles = 0;
 };
 
-/// Streams the scenario's whole trajectory through the three-stage
-/// pipeline and returns the per-step tracking record. `scenario` supplies
-/// scene, trajectory and scans (render_scan — any defer mode works);
-/// `vo`/`net` supply the frame features and the CIM-executed regressor;
-/// `model` is the measurement backend (typically
+/// Runs the scenario's whole trajectory through the three stages, one
+/// window at a time, and returns the per-step tracking record. `scenario`
+/// supplies scene, trajectory and scans (render_scan — any defer mode
+/// works); `vo`/`net` supply the frame features and the CIM-executed
+/// regressor; `model` is the measurement backend (typically
 /// scenario.make_cim_backend()). When the scenario asks for global init
 /// (ScenarioConfig::global_init — the kidnapped-drone workloads), the
 /// cloud starts uniform over the scene interior instead of a tight
 /// Gaussian at the displaced start pose. Deterministic given the config
-/// seeds: bit-identical at any pool size and window (tested at pools
-/// 1/2/8, windows 1/3/16).
+/// seeds: bit-identical to a serial per-frame loop over OdometrySession
+/// and bnn::mc_predict_cim at any pool size and window (tested at pools
+/// none/1/2/8, windows 1/3/16).
 ClosedLoopRun run_odometry_loop(const filter::LocalizationScenario& scenario,
                                 const VoPipeline& vo, const nn::CimMlp& net,
                                 const filter::MeasurementModel& model,

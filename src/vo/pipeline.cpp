@@ -1,10 +1,11 @@
 #include "vo/pipeline.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "core/error.hpp"
 #include "core/stats.hpp"
-#include "vo/frame_pipeline.hpp"
 
 namespace cimnav::vo {
 namespace {
@@ -240,32 +241,35 @@ VoRun VoPipeline::run_cim_mc_streamed(const cimsram::CimMacroConfig& macro,
                                       const bnn::McOptions& options,
                                       bnn::MaskSource& masks,
                                       bnn::McWorkload* workload_out) const {
-  std::shared_ptr<nn::CimMlp> cim = make_cim_network(macro);
+  CIMNAV_REQUIRE(config_.frame_window >= 1,
+                 "frame window must hold at least one frame");
+  const std::unique_ptr<nn::CimMlp> cim = make_cim_network(macro);
   core::Rng analog_rng(config_.seed + 321);
   std::string label = "cim-mc-" + std::to_string(macro.weight_bits) + "b";
   if (options.compute_reuse) label += "+reuse";
   if (options.order_samples) label += "+order";
   label += "+stream";
+  bnn::McOptions opt = options;
+  if (opt.pool == nullptr) opt.pool = config_.pool;
 
-  FramePipelineConfig pipe_cfg;
-  pipe_cfg.window = config_.frame_window;
-  pipe_cfg.pool = options.pool != nullptr ? options.pool : config_.pool;
-  pipe_cfg.mc = options;
-  FramePipeline pipe(*cim, pipe_cfg);
-
-  // Stage A serves the precomputed test features; stage C collects the
-  // predictions in frame order. The trajectory bookkeeping then replays
-  // them through the same evaluate() path as every other condition, so
-  // streamed VoRuns are field-for-field comparable (and, dense-path,
+  // One mc_predict_cim_window call per frame window, straight on the
+  // precomputed test features. The trajectory bookkeeping then replays the
+  // predictions through the same evaluate() path as every other
+  // condition, so streamed VoRuns are field-for-field comparable (and
   // bit-identical) to run_cim_mc.
-  std::vector<bnn::McPrediction> preds(test_inputs_.size());
-  pipe.run(
-      static_cast<int>(test_inputs_.size()),
-      [this](int f) { return test_inputs_[static_cast<std::size_t>(f)]; },
-      [&preds](int f, const bnn::McPrediction& p) {
-        preds[static_cast<std::size_t>(f)] = p;
-      },
-      masks, analog_rng, workload_out);
+  const std::size_t n = test_inputs_.size();
+  const auto window = static_cast<std::size_t>(config_.frame_window);
+  std::vector<bnn::McPrediction> preds;
+  preds.reserve(n);
+  std::vector<const nn::Vector*> xs;
+  for (std::size_t w0 = 0; w0 < n; w0 += window) {
+    xs.clear();
+    for (std::size_t f = w0; f < std::min(w0 + window, n); ++f)
+      xs.push_back(&test_inputs_[f]);
+    std::vector<bnn::McPrediction> got = bnn::mc_predict_cim_window(
+        *cim, xs, opt, masks, analog_rng, workload_out);
+    std::move(got.begin(), got.end(), std::back_inserter(preds));
+  }
 
   std::size_t cursor = 0;
   return evaluate(label, [&preds, &cursor](const nn::Vector&,

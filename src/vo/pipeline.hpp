@@ -15,6 +15,7 @@
 // predictive variances, feeding the error-vs-uncertainty analysis.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -66,12 +67,11 @@ struct VoPipelineConfig {
   /// serially, reductions run in sample order, noise streams are keyed on
   /// iteration indices).
   core::ThreadPool* pool = nullptr;
-  /// In-flight frame window for run_cim_mc_streamed (the stage-B batch of
-  /// the vo::FramePipeline): MC iterations of up to this many frames are
-  /// batched through one macro dispatch per layer while the next window's
-  /// inputs are prepared and the previous window's predictions are
-  /// consumed. 1 degenerates to frame-at-a-time. Any value yields results
-  /// bit-identical to run_cim_mc (dense path).
+  /// Frame window of run_cim_mc_streamed (>= 1): the MC iterations of up
+  /// to this many frames are batched through one macro dispatch per layer
+  /// (one bnn::mc_predict_cim_window call per window). 1 degenerates to
+  /// frame-at-a-time. Any value yields results bit-identical to
+  /// run_cim_mc.
   int frame_window = 4;
 
   VoPipelineConfig() {
@@ -128,17 +128,17 @@ class VoPipeline {
   /// CIM-executed MC-Dropout; `workload_out` (optional) accumulates macro
   /// activity across the whole trajectory. Frames evaluate one at a time
   /// (iterations fan over config().pool); see run_cim_mc_streamed for the
-  /// cross-frame streaming path.
+  /// cross-frame window path.
   VoRun run_cim_mc(const cimsram::CimMacroConfig& macro,
                    const bnn::McOptions& options, bnn::MaskSource& masks,
                    bnn::McWorkload* workload_out = nullptr) const;
 
-  /// CIM-executed MC-Dropout through the streaming vo::FramePipeline:
-  /// config().frame_window frames stay in flight, their MC iterations
-  /// batched across frames through one macro dispatch per layer.
-  /// Guarantee: with dense options (no compute_reuse/order_samples
-  /// fallback), every per-frame prediction — and hence the whole VoRun —
-  /// is bit-identical to run_cim_mc at any thread count and window size;
+  /// CIM-executed MC-Dropout, one window of config().frame_window frames
+  /// at a time: each window's MC iterations are batched across its frames
+  /// through one macro dispatch per layer (bnn::mc_predict_cim_window).
+  /// Guarantee: with any options (dense, compute_reuse, order_samples),
+  /// every per-frame prediction — and hence the whole VoRun — is
+  /// bit-identical to run_cim_mc at any thread count and window size;
   /// only the label gains a "+stream" suffix.
   VoRun run_cim_mc_streamed(const cimsram::CimMacroConfig& macro,
                             const bnn::McOptions& options,
@@ -162,8 +162,9 @@ class VoPipeline {
   /// observation of `a` concatenated with the centered difference to the
   /// observation of `b` (the exact feature layout used in training).
   /// `rng` drives the observation noise; key it on the frame index when
-  /// generating frames from a pipeline stage (purity contract of
-  /// FramePipeline::InputFn).
+  /// generating frames in stage A (the window schedule requires inputs
+  /// to be pure functions of the frame index; see
+  /// OdometrySession::make_input).
   nn::Vector frame_feature(const core::Pose& a, const core::Pose& b,
                            core::Rng& rng) const;
 

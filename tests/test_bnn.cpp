@@ -280,8 +280,8 @@ TEST_F(McFixture, WindowAttributionIsExactPerFrame) {
     McWorkload total;
     std::vector<McWorkload> per_frame;
     const auto before = cim.total_stats();
-    mc_predict_cim_window(cim, xs, make_opt(pool), masks, arng, &total, 0,
-                          {}, &per_frame);
+    mc_predict_cim_window(cim, xs, make_opt(pool), masks, arng, &total,
+                          &per_frame);
     const auto window_delta = cim.total_stats() - before;
 
     ASSERT_EQ(per_frame.size(), xs.size());

@@ -635,6 +635,25 @@ TEST(ShardedMacro, FactoryAndValidation) {
   unaligned.max_cols = 64;
   EXPECT_THROW(ShardedMacro(w, 70, 128, unaligned, 1.0 / 63.0),
                std::invalid_argument);
+
+  // CimMacro's ranges hold for a grid too, checked before its shared
+  // weight grid shifts by weight_bits (0: a negative shift) and divides
+  // by the magnitude range (1: a zero divisor).
+  const auto bad_cfg = [&](int input_bits, int weight_bits, int adc_bits) {
+    CimMacroConfig bad = cfg;
+    bad.input_bits = input_bits;
+    bad.weight_bits = weight_bits;
+    bad.adc_bits = adc_bits;
+    return bad;
+  };
+  for (const CimMacroConfig& bad :
+       {bad_cfg(6, 0, 6), bad_cfg(6, 1, 6), bad_cfg(6, 13, 6),
+        bad_cfg(0, 6, 6), bad_cfg(13, 6, 6), bad_cfg(6, 6, 0),
+        bad_cfg(6, 6, 17)})
+    EXPECT_THROW(make_macro(w, 70, 128, bad, 1.0 / 63.0),
+                 std::invalid_argument)
+        << bad.input_bits << "/" << bad.weight_bits << "/" << bad.adc_bits;
+  EXPECT_THROW(make_macro(w, 70, 128, cfg, 0.0), std::invalid_argument);
 }
 
 }  // namespace

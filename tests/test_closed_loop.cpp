@@ -1,16 +1,18 @@
 // Tests for the closed-loop odometry runner: the posterior -> control /
 // noise adapters, the open/closed switch, and the determinism contract
-// (pooled 1/2/8 + window-size bit-identity for a full closed-loop
-// scenario run through the streaming frame pipeline).
+// (bit-identity at pools none/1/2/8 and windows 1/3/16 against a serial
+// per-frame loop written here over the OdometrySession API).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
 
+#include "bnn/mc_dropout.hpp"
 #include "core/rng.hpp"
 #include "core/thread_pool.hpp"
 #include "filter/scenario.hpp"
 #include "vo/closed_loop.hpp"
+#include "vo/odometry_session.hpp"
 #include "vo/pipeline.hpp"
 
 namespace cimnav {
@@ -109,6 +111,27 @@ class ClosedLoopTest : public ::testing::Test {
     return cfg;
   }
 
+  /// Independent reference for run_odometry_loop: the plain serial
+  /// per-frame loop, one bnn::mc_predict_cim call per frame, no window
+  /// and no pool.
+  static vo::ClosedLoopRun serial_oracle(vo::ClosedLoopConfig cfg) {
+    cfg.pool = nullptr;
+    cfg.mc.pool = nullptr;
+    vo::OdometrySession session;
+    session.begin(*scenario_, *vo_, *net_, *model_, cfg);
+    nn::Vector x;
+    for (int f = 0; f < session.frame_count(); ++f) {
+      session.make_input(f, x);
+      bnn::McWorkload wl;
+      const bnn::McPrediction pred =
+          bnn::mc_predict_cim(*net_, x, cfg.mc, session.mask_source(),
+                              session.analog_rng(), &wl);
+      session.consume(f, pred);
+      session.record_frame_macro(f, wl.macro);
+    }
+    return session.finish();
+  }
+
   static void expect_same_runs(const vo::ClosedLoopRun& a,
                                const vo::ClosedLoopRun& b) {
     ASSERT_EQ(a.steps.size(), b.steps.size());
@@ -123,11 +146,13 @@ class ClosedLoopTest : public ::testing::Test {
       EXPECT_EQ(a.steps[i].update_action, b.steps[i].update_action);
       EXPECT_EQ(a.steps[i].likelihood_evals, b.steps[i].likelihood_evals);
       EXPECT_EQ(a.steps[i].update_energy_j, b.steps[i].update_energy_j);
+      EXPECT_EQ(a.steps[i].vo_energy_j, b.steps[i].vo_energy_j);
       EXPECT_EQ(a.steps[i].update_beta, b.steps[i].update_beta);
     }
     EXPECT_EQ(a.rmse_m, b.rmse_m);
     EXPECT_EQ(a.mean_spread_m, b.mean_spread_m);
     EXPECT_EQ(a.update_energy_j, b.update_energy_j);
+    EXPECT_EQ(a.vo_energy_j, b.vo_energy_j);
     EXPECT_EQ(a.likelihood_evals, b.likelihood_evals);
   }
 
@@ -143,21 +168,23 @@ vo::VoPipeline* ClosedLoopTest::vo_ = nullptr;
 nn::CimMlp* ClosedLoopTest::net_ = nullptr;
 
 TEST_F(ClosedLoopTest, BitIdenticalAcrossThreadPoolsAndWindows) {
-  // The hard guarantee: a closed-loop scenario run through the streamed
-  // pipeline is bit-identical to the serial per-frame loop at pools
-  // 1/2/8 and any window size.
+  // The hard guarantee: a closed-loop scenario run through the window
+  // schedule is bit-identical to the serial per-frame loop at any pool
+  // and window size. 8 frames in windows of 3 end the run mid-window; a
+  // window of 16 is one short window.
   vo::ClosedLoopConfig cfg = small_config();
-  cfg.window = 1;
-  cfg.pool = nullptr;
-  const auto ref = vo::run_odometry_loop(*scenario_, *vo_, *net_, *model_,
-                                         cfg);
+  const auto ref = serial_oracle(cfg);
   ASSERT_EQ(ref.steps.size(), 8u);
 
   ThreadPool p1(1), p2(2), p8(8);
-  for (ThreadPool* pool : {&p1, &p2, &p8}) {
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &p1, &p2,
+                           &p8}) {
     for (int window : {1, 3, 16}) {
       cfg.pool = pool;
       cfg.window = window;
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << (pool ? pool->thread_count() : 0)
+                   << " window=" << window);
       const auto run = vo::run_odometry_loop(*scenario_, *vo_, *net_,
                                              *model_, cfg);
       expect_same_runs(ref, run);
@@ -286,15 +313,16 @@ TEST_F(ClosedLoopTest, GatedPoliciesBitIdenticalAcrossThreadPoolsAndWindows) {
   cfg.policy_cfg.warmup_frames = 2;
   cfg.policy_cfg.ess_wake_floor = 0.0;
   cfg.policy_cfg.sigma_wake_ratio = 1.0;  // sigma-driven skips vary by frame
-  cfg.window = 1;
-  cfg.pool = nullptr;
-  const auto ref = vo::run_odometry_loop(*scenario_, *vo_, *net_, *model_,
-                                         cfg);
-  ThreadPool p2(2), p8(8);
-  for (ThreadPool* pool : {&p2, &p8}) {
-    for (int window : {3, 16}) {
+  const auto ref = serial_oracle(cfg);
+  ThreadPool p1(1), p2(2), p8(8);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &p1, &p2,
+                           &p8}) {
+    for (int window : {1, 3, 16}) {
       cfg.pool = pool;
       cfg.window = window;
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << (pool ? pool->thread_count() : 0)
+                   << " window=" << window);
       expect_same_runs(ref, vo::run_odometry_loop(*scenario_, *vo_, *net_,
                                                   *model_, cfg));
     }

@@ -1,11 +1,10 @@
-// Tests for the streaming frame pipeline and the cross-frame batched
-// MC-Dropout window: bit-identity against the serial per-frame path at
-// several thread counts and window sizes, buffer-reuse correctness across
-// in-flight frames, and drain semantics when a run ends mid-window.
+// Tests for the cross-frame batched MC-Dropout window, stage B of the
+// per-frame pipeline (scan -> VO -> filter): CimMlp::forward_window
+// against a serial dense oracle, and bnn::mc_predict_cim_window against
+// serial per-frame mc_predict_cim calls at several thread counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -17,7 +16,6 @@
 #include "core/thread_pool.hpp"
 #include "nn/cim_mlp.hpp"
 #include "nn/mlp.hpp"
-#include "vo/frame_pipeline.hpp"
 
 namespace cimnav {
 namespace {
@@ -50,7 +48,7 @@ std::unique_ptr<nn::Mlp> make_net(bool dropout_on_input) {
   return std::make_unique<nn::Mlp>(cfg, rng);
 }
 
-/// Pure function of the frame index: the stage-A contract.
+/// Pure function of the frame index, like every stage-A input.
 nn::Vector frame_input(int frame) {
   Rng rng = Rng::stream(0xF00D, static_cast<std::uint64_t>(frame));
   nn::Vector x(kIn);
@@ -223,181 +221,6 @@ TEST(McPredictCimWindow, BitIdenticalToSerialPerFrameCalls) {
       EXPECT_EQ(wl.mask_bits_drawn, ref_wl.mask_bits_drawn);
       EXPECT_EQ(wl.input_mask_flips, ref_wl.input_mask_flips);
     }
-  }
-}
-
-TEST(McPredictCimWindow, SideItemsRunExactlyOnceIncludingDrainAndFallback) {
-  const auto net = make_net(false);
-  const auto cim = make_cim(*net);
-  nn::Vector x0 = frame_input(0);
-  std::vector<const nn::Vector*> xs{&x0};
-  ThreadPool p4(4);
-  for (bool reuse : {false, true}) {
-    for (bool empty_window : {false, true}) {
-      bnn::SoftwareMaskSource masks(Rng{11});
-      Rng arng(13);
-      bnn::McOptions opt;
-      opt.iterations = 5;
-      opt.dropout_p = 0.5;
-      opt.compute_reuse = reuse;
-      opt.pool = &p4;
-      std::vector<std::atomic<int>> hits(3);
-      bnn::mc_predict_cim_window(
-          *cim, empty_window ? std::vector<const nn::Vector*>{} : xs, opt,
-          masks, arng, nullptr, hits.size(), [&](std::size_t k) {
-            hits[k].fetch_add(1, std::memory_order_relaxed);
-          });
-      for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-    }
-  }
-}
-
-class FramePipelineTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    net_ = make_net(false);  // the VO configuration: hidden-site dropout
-    cim_ = make_cim(*net_);
-  }
-
-  struct Consumed {
-    int frame;
-    bnn::McPrediction pred;
-  };
-
-  /// Serial per-frame reference: the loop the pipeline must match.
-  std::vector<Consumed> serial_reference(int frames,
-                                         const bnn::McOptions& opt) {
-    std::vector<Consumed> out;
-    bnn::SoftwareMaskSource masks(Rng{11});
-    Rng arng(13);
-    for (int f = 0; f < frames; ++f) {
-      const nn::Vector x = frame_input(f);
-      out.push_back({f, bnn::mc_predict_cim(*cim_, x, opt, masks, arng)});
-    }
-    return out;
-  }
-
-  std::vector<Consumed> pipelined(int frames, int window, ThreadPool* pool,
-                                  const bnn::McOptions& opt,
-                                  std::atomic<int>* input_calls = nullptr) {
-    vo::FramePipelineConfig cfg;
-    cfg.window = window;
-    cfg.pool = pool;
-    cfg.mc = opt;
-    vo::FramePipeline pipe(*cim_, cfg);
-    std::vector<Consumed> out;
-    bnn::SoftwareMaskSource masks(Rng{11});
-    Rng arng(13);
-    pipe.run(
-        frames,
-        [&](int f) {
-          if (input_calls != nullptr)
-            input_calls[f].fetch_add(1, std::memory_order_relaxed);
-          return frame_input(f);
-        },
-        [&](int f, const bnn::McPrediction& p) { out.push_back({f, p}); },
-        masks, arng);
-    return out;
-  }
-
-  std::unique_ptr<nn::Mlp> net_;
-  std::unique_ptr<nn::CimMlp> cim_;
-};
-
-TEST_F(FramePipelineTest, BitIdenticalToSerialLoopAcrossThreadCounts) {
-  constexpr int kFrames = 7;
-  bnn::McOptions opt;
-  opt.iterations = 6;
-  opt.dropout_p = 0.5;
-  const auto ref = serial_reference(kFrames, opt);
-
-  ThreadPool p1(1), p2(2), p8(8);
-  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &p1, &p2,
-                           &p8}) {
-    for (int window : {1, 3, 16}) {  // 16 > frame count: one short window
-      const auto got = pipelined(kFrames, window, pool, opt);
-      ASSERT_EQ(got.size(), ref.size());
-      for (std::size_t i = 0; i < ref.size(); ++i) {
-        EXPECT_EQ(got[i].frame, ref[i].frame);  // strict frame order
-        expect_same_prediction(got[i].pred, ref[i].pred);
-      }
-    }
-  }
-}
-
-TEST_F(FramePipelineTest, BuffersReusedCleanlyAcrossInFlightFrames) {
-  // 9 frames through a window of 3 exercise >= 3 in-flight frames per
-  // tick and three full buffer swaps; every input must be generated
-  // exactly once (no stale slot may be re-served to stage B), and the
-  // same pipeline object must be reusable for a second run.
-  constexpr int kFrames = 9;
-  bnn::McOptions opt;
-  opt.iterations = 4;
-  opt.dropout_p = 0.5;
-  const auto ref = serial_reference(kFrames, opt);
-
-  ThreadPool p8(8);
-  vo::FramePipelineConfig cfg;
-  cfg.window = 3;
-  cfg.pool = &p8;
-  cfg.mc = opt;
-  vo::FramePipeline pipe(*cim_, cfg);
-  for (int round = 0; round < 2; ++round) {
-    std::vector<std::atomic<int>> input_calls(kFrames);
-    std::vector<Consumed> got;
-    bnn::SoftwareMaskSource masks(Rng{11});
-    Rng arng(13);
-    pipe.run(
-        kFrames,
-        [&](int f) {
-          input_calls[f].fetch_add(1, std::memory_order_relaxed);
-          return frame_input(f);
-        },
-        [&](int f, const bnn::McPrediction& p) { got.push_back({f, p}); },
-        masks, arng);
-    for (int f = 0; f < kFrames; ++f) EXPECT_EQ(input_calls[f].load(), 1);
-    ASSERT_EQ(got.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_EQ(got[i].frame, ref[i].frame);
-      expect_same_prediction(got[i].pred, ref[i].pred);
-    }
-  }
-}
-
-TEST_F(FramePipelineTest, DrainsCleanlyWhenRunEndsMidWindow) {
-  bnn::McOptions opt;
-  opt.iterations = 3;
-  opt.dropout_p = 0.5;
-  ThreadPool p4(4);
-  // frame_count % window != 0, frame_count < window, and an empty run:
-  // the epilogue must flush every in-flight frame without deadlocking.
-  for (const auto [frames, window] : {std::pair{5, 3}, std::pair{2, 4},
-                                      std::pair{0, 3}}) {
-    const auto ref = serial_reference(frames, opt);
-    const auto got = pipelined(frames, window, &p4, opt);
-    ASSERT_EQ(got.size(), static_cast<std::size_t>(frames));
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_EQ(got[i].frame, ref[i].frame);
-      expect_same_prediction(got[i].pred, ref[i].pred);
-    }
-  }
-}
-
-TEST_F(FramePipelineTest, ComputeReuseOptionsFallBackBitIdentically) {
-  // With compute_reuse the window path degrades to the per-frame loop;
-  // the pipeline must still be bit-identical to the serial reference.
-  constexpr int kFrames = 5;
-  bnn::McOptions opt;
-  opt.iterations = 6;
-  opt.dropout_p = 0.5;
-  opt.compute_reuse = true;
-  const auto ref = serial_reference(kFrames, opt);
-  ThreadPool p8(8);
-  const auto got = pipelined(kFrames, 3, &p8, opt);
-  ASSERT_EQ(got.size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_EQ(got[i].frame, ref[i].frame);
-    expect_same_prediction(got[i].pred, ref[i].pred);
   }
 }
 

@@ -270,7 +270,7 @@ TEST_F(ReuseParallelFixture, WorkloadAccountingMatchesSerialExactly) {
   for (const Vector& x : frames) xs.push_back(&x);
   McWorkload pooled_wl;
   std::vector<McWorkload> per_frame;
-  mc_predict_cim_window(*cim_, xs, opt, masks, arng, &pooled_wl, 0, {},
+  mc_predict_cim_window(*cim_, xs, opt, masks, arng, &pooled_wl,
                         &per_frame);
 
   EXPECT_EQ(pooled_wl.macro.wordline_pulses, serial_wl.macro.wordline_pulses);

@@ -267,36 +267,51 @@ TEST_F(PipelineFixture, PooledMcRunBitIdenticalToSerial) {
 }
 
 TEST_F(PipelineFixture, StreamedRunBitIdenticalToPerFrameRun) {
-  // The streaming frame pipeline (cross-frame MC batching, input
-  // prefetch, trailing consume) must reproduce the per-frame path
-  // prediction-for-prediction; only the label gains "+stream".
+  // The window path (one cross-frame MC batch per frame window) must
+  // reproduce the per-frame path prediction-for-prediction, dense and
+  // with compute reuse + sample ordering; only the label gains "+stream".
   cimsram::CimMacroConfig mc;
   mc.input_bits = 4;
   mc.weight_bits = 4;
-  const auto run_with = [&](bool streamed, core::ThreadPool* pool) {
-    bnn::SoftwareMaskSource masks(Rng{31});
-    bnn::McOptions opt;
-    opt.iterations = 6;
-    opt.dropout_p = pipeline().config().dropout_p;
-    opt.pool = pool;
-    return streamed ? pipeline().run_cim_mc_streamed(mc, opt, masks)
-                    : pipeline().run_cim_mc(mc, opt, masks);
-  };
-  core::ThreadPool pool(4);
-  const VoRun per_frame = run_with(false, &pool);
-  const VoRun streamed = run_with(true, &pool);
-  const VoRun streamed_serial = run_with(true, nullptr);
-  EXPECT_EQ(streamed.label, per_frame.label + "+stream");
-  ASSERT_EQ(streamed.frame_delta_error.size(),
-            per_frame.frame_delta_error.size());
-  for (std::size_t i = 0; i < per_frame.frame_delta_error.size(); ++i) {
-    EXPECT_EQ(streamed.frame_delta_error[i],
-              per_frame.frame_delta_error[i]);
-    EXPECT_EQ(streamed.frame_variance[i], per_frame.frame_variance[i]);
-    EXPECT_EQ(streamed_serial.frame_delta_error[i],
-              per_frame.frame_delta_error[i]);
+  for (const bool reuse : {false, true}) {
+    const auto run_with = [&](bool streamed, core::ThreadPool* pool,
+                              bnn::McWorkload* wl) {
+      bnn::SoftwareMaskSource masks(Rng{31});
+      bnn::McOptions opt;
+      opt.iterations = 6;
+      opt.dropout_p = pipeline().config().dropout_p;
+      opt.compute_reuse = reuse;
+      opt.order_samples = reuse;
+      opt.pool = pool;
+      return streamed ? pipeline().run_cim_mc_streamed(mc, opt, masks, wl)
+                      : pipeline().run_cim_mc(mc, opt, masks, wl);
+    };
+    core::ThreadPool pool(4);
+    bnn::McWorkload per_frame_wl, streamed_wl;
+    const VoRun per_frame = run_with(false, &pool, &per_frame_wl);
+    const VoRun streamed = run_with(true, &pool, &streamed_wl);
+    const VoRun streamed_serial = run_with(true, nullptr, nullptr);
+    EXPECT_EQ(streamed.label, per_frame.label + "+stream");
+    ASSERT_EQ(streamed.frame_delta_error.size(),
+              per_frame.frame_delta_error.size());
+    for (std::size_t i = 0; i < per_frame.frame_delta_error.size(); ++i) {
+      EXPECT_EQ(streamed.frame_delta_error[i],
+                per_frame.frame_delta_error[i])
+          << "reuse=" << reuse << " frame " << i;
+      EXPECT_EQ(streamed.frame_variance[i], per_frame.frame_variance[i]);
+      EXPECT_EQ(streamed_serial.frame_delta_error[i],
+                per_frame.frame_delta_error[i]);
+      EXPECT_EQ(streamed_serial.frame_variance[i],
+                per_frame.frame_variance[i]);
+    }
+    EXPECT_EQ(streamed.ate_rmse, per_frame.ate_rmse);
+    EXPECT_EQ(streamed_wl.macro.wordline_pulses,
+              per_frame_wl.macro.wordline_pulses);
+    EXPECT_EQ(streamed_wl.macro.adc_conversions,
+              per_frame_wl.macro.adc_conversions);
+    EXPECT_EQ(streamed_wl.input_mask_flips, per_frame_wl.input_mask_flips);
+    EXPECT_EQ(streamed_wl.mask_bits_drawn, per_frame_wl.mask_bits_drawn);
   }
-  EXPECT_EQ(streamed.ate_rmse, per_frame.ate_rmse);
 }
 
 TEST_F(PipelineFixture, WorkloadAccumulatesAcrossFrames) {
