@@ -145,8 +145,8 @@ int main() {
       bnn::mc_predict_cim(cim, x, opt, masks, arng);
     });
   };
-  const auto dense_t = timed("mc_predict/dense", false, false, dense_wl);
-  const auto reuse_t = timed("mc_predict/reuse", true, false, reuse_wl);
+  timed("mc_predict/dense", false, false, dense_wl);
+  timed("mc_predict/reuse", true, false, reuse_wl);
   timed("mc_predict/reuse+order", true, true, both_wl);
 
   // The pooled reuse engine: one window of frames, every refresh chain
@@ -219,9 +219,20 @@ int main() {
                               static_cast<double>(
                                   dense_wl.macro.wordline_pulses));
   // Within-run wall-clock ratio (machine-portable): the differential
-  // delta engine must keep reuse at or below dense at T=30.
+  // delta engine must keep reuse at or below dense at T=30. Median of 7
+  // back-to-back (reuse, dense) rounds.
+  const auto mc_fn = [&](bool reuse) {
+    bnn::McOptions opt;
+    opt.iterations = 30;
+    opt.dropout_p = 0.5;
+    opt.compute_reuse = reuse;
+    return [&cim, &x, opt, masks = bnn::SoftwareMaskSource(core::Rng{11}),
+            arng = core::Rng(13)]() mutable {
+      bnn::mc_predict_cim(cim, x, opt, masks, arng);
+    };
+  };
   suite.add_summary("reuse_wallclock_ratio",
-                    reuse_t.ns_per_op / dense_t.ns_per_op);
+                    bench::Suite::paired_ratio(7, mc_fn(true), mc_fn(false)));
   // 8 lock-step reuse sessions sharing one pooled dispatch set -> 8.0;
   // a frame-serial fallback would collapse this toward 1.
   suite.add_summary("pooled_reuse_dispatch_ratio",

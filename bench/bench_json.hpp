@@ -95,6 +95,43 @@ class Suite {
     return back;
   }
 
+  /// Times fa and fb back to back in each of `rounds` rounds (rep
+  /// counts calibrated once per side to ~20 ms batches) and returns the
+  /// median of the per-round ratios time(fa) / time(fb). Pairing the two
+  /// sides inside each round keeps host-speed drift out of the ratio.
+  template <class FA, class FB>
+  static double paired_ratio(int rounds, FA&& fa, FB&& fb) {
+    using clock = std::chrono::steady_clock;
+    const auto batch_ns = [](auto& fn, std::int64_t reps) {
+      const auto t0 = clock::now();
+      for (std::int64_t i = 0; i < reps; ++i) fn();
+      return std::chrono::duration<double, std::nano>(clock::now() - t0)
+          .count();
+    };
+    const auto calibrate = [&](auto& fn) {
+      fn();  // warmup
+      std::int64_t reps = 1;
+      for (;;) {
+        const double ms = batch_ns(fn, reps) * 1e-6;
+        if (ms >= 20.0 || reps >= (std::int64_t{1} << 30)) return reps;
+        reps = ms <= 1.0 ? reps * 16
+                         : static_cast<std::int64_t>(
+                               static_cast<double>(reps) * 24.0 / ms) +
+                               1;
+      }
+    };
+    const std::int64_t reps_a = calibrate(fa);
+    const std::int64_t reps_b = calibrate(fb);
+    std::vector<double> ratios;
+    for (int r = 0; r < rounds; ++r) {
+      const double a = batch_ns(fa, reps_a) / static_cast<double>(reps_a);
+      const double b = batch_ns(fb, reps_b) / static_cast<double>(reps_b);
+      ratios.push_back(a / b);
+    }
+    std::sort(ratios.begin(), ratios.end());
+    return ratios[ratios.size() / 2];
+  }
+
   void add_summary(const std::string& key, double value) {
     summary_.emplace_back(key, value);
   }

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -622,11 +623,7 @@ int main() {
 
     // Backend sweep: the same prediction through every registered column
     // kernel, serially, so the ratio isolates the kernel itself. Each
-    // backend is measured three times in alternation and the medians are
-    // compared, shielding the tracked bitsliced/reference ratio from
-    // CPU-steal spikes on shared hosts (the two sides are timed in
-    // different windows, so a spike on one side would otherwise skew the
-    // ratio).
+    // backend is measured three times in alternation for the table.
     std::vector<double> ref_runs, bit_runs;
     for (int round = 0; round < 3; ++round) {
       for (const std::string& be : cimsram::backend_names()) {
@@ -649,11 +646,24 @@ int main() {
       }
     }
     if (!ref_runs.empty() && !bit_runs.empty()) {
-      const auto median = [](std::vector<double> v) {
-        std::sort(v.begin(), v.end());
-        return v[v.size() / 2];
+      // The gated ratio: reference and bitsliced timed back to back in
+      // each of 7 rounds, median of the per-round ratios.
+      const auto predict_fn = [&](const char* be) {
+        cimsram::CimMacroConfig bcfg = mc;
+        bcfg.backend = be;
+        core::Rng bcrng(7);
+        bnn::McOptions opt;
+        opt.iterations = kIters;
+        opt.dropout_p = kP;
+        return [cim = std::make_shared<const nn::CimMlp>(net, bcfg, calib,
+                                                         bcrng),
+                &x, opt, masks = bnn::SoftwareMaskSource(core::Rng{11}),
+                arng = core::Rng(13)]() mutable {
+          bnn::mc_predict_cim(*cim, x, opt, masks, arng);
+        };
       };
-      const double ratio = median(ref_runs) / median(bit_runs);
+      const double ratio = bench::Suite::paired_ratio(
+          7, predict_fn("reference"), predict_fn("bitsliced"));
       suite.add_summary("mc_predict_bitsliced_speedup_vs_reference", ratio);
       std::printf(
           "\nmc_predict_cim BitSlicedBackend speedup vs ReferenceBackend: "

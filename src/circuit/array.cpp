@@ -84,6 +84,8 @@ CimLikelihoodArray::CimLikelihoodArray(
                config.adc_floor_fraction,
            config.peak_current_a * static_cast<double>(config.total_columns)) {
   CIMNAV_REQUIRE(!components.empty(), "need at least one component");
+  CIMNAV_REQUIRE(config.dac_bits <= 10,
+                 "dac_bits must be at most 10 (32-bit code-triple keys)");
   CIMNAV_REQUIRE(config.total_columns >= static_cast<int>(components.size()),
                  "more components than columns");
   CIMNAV_REQUIRE(config.v_margin_v >= 0.0 &&
@@ -142,10 +144,13 @@ CimLikelihoodArray::CimLikelihoodArray(
   }
 }
 
-double CimLikelihoodArray::ideal_current(const core::Vec3& point_v) const {
-  const double* rx = recip_.data() + row(0, dac_.encode(point_v.x));
-  const double* ry = recip_.data() + row(1, dac_.encode(point_v.y));
-  const double* rz = recip_.data() + row(2, dac_.encode(point_v.z));
+double CimLikelihoodArray::ideal_current(std::uint32_t key) const {
+  const auto b = static_cast<unsigned>(dac_.bits());
+  CIMNAV_REQUIRE(key >> 3 * b == 0, "code-triple key out of range");
+  const std::uint32_t mask = dac_.levels() - 1;
+  const double* rx = recip_.data() + row(0, key & mask);
+  const double* ry = recip_.data() + row(1, key >> b & mask);
+  const double* rz = recip_.data() + row(2, key >> 2 * b);
   const std::size_t n_cols = static_cast<std::size_t>(config_.total_columns);
   double total = 0.0;
   for (std::size_t c = 0; c < n_cols; ++c)

@@ -23,6 +23,14 @@
 // is bit-identical to dividing per read: the harmonic sum
 // ((0 + 1/ix) + 1/iy) + 1/iz equals (rx + ry) + rz, and an off branch makes
 // the sum +inf, whose reciprocal adds the same +0 A as a dead column.
+//
+// The ideal current is therefore a pure function of the three DAC codes.
+// key() packs them into one 32-bit code-triple key and ideal_current(key)
+// is the one column loop; the point overload is ideal_current(key(point)).
+// A caller that scores many reads at once (filter::CimHmgmLikelihood's
+// particle-block entry) evaluates each distinct key once and applies the
+// per-read noise and log-ADC afterwards: the simulator computes less, the
+// modeled hardware still performs (and is charged for) every read.
 #pragma once
 
 #include <cstdint>
@@ -72,14 +80,31 @@ class CimLikelihoodArray {
   /// Programs the array for the given components. Columns are allocated to
   /// components proportionally to weight (largest-remainder rounding, at
   /// least one column per component). Throws if there are more components
-  /// than columns.
+  /// than columns, or if dac_bits lies outside [1, 10] (three codes must
+  /// pack into one 32-bit key).
   CimLikelihoodArray(const LikelihoodArrayConfig& config,
                      const std::vector<VoltageComponent>& components,
                      core::Rng& rng);
 
-  /// Ideal (noise-free) summed current for an input point [A]. Inputs are
-  /// DAC-quantized exactly as the hardware would.
-  double ideal_current(const core::Vec3& point_v) const;
+  /// DAC code triple of an input point packed into one key: code(x) in
+  /// bits [0, b), code(y) in [b, 2b) and code(z) in [2b, 3b), b =
+  /// dac_bits. Inputs are DAC-quantized exactly as the hardware would
+  /// (out-of-range inputs clamp to the end codes, NaN encodes to code 0).
+  std::uint32_t key(const core::Vec3& point_v) const {
+    const auto b = static_cast<unsigned>(dac_.bits());
+    return dac_.encode(point_v.x) | dac_.encode(point_v.y) << b |
+           dac_.encode(point_v.z) << 2 * b;
+  }
+
+  /// Ideal (noise-free) summed current for a packed code triple [A].
+  /// Throws if `key` sets bits at or above 3 * dac_bits.
+  double ideal_current(std::uint32_t key) const;
+
+  /// Ideal (noise-free) summed current for an input point [A]:
+  /// ideal_current(key(point_v)).
+  double ideal_current(const core::Vec3& point_v) const {
+    return ideal_current(key(point_v));
+  }
 
   /// One noisy analog read of the summed current [A].
   double read_current(const core::Vec3& point_v, core::Rng& rng) const;

@@ -16,9 +16,15 @@
 // A per-point temperature (`beta`) tempers the likelihood to compensate for
 // the independence assumption across scan pixels — standard practice in
 // scan-matching filters.
+//
+// The particle filter scores a whole cloud through one call,
+// MeasurementModel::log_likelihoods. Its default is the block loop over
+// log_likelihood; CimHmgmLikelihood overrides it to evaluate each distinct
+// DAC code triple of the update once (see its comment).
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -30,7 +36,30 @@
 #include "prob/hmg.hpp"
 #include "vision/depth.hpp"
 
+namespace cimnav::core {
+class ThreadPool;
+}
+
 namespace cimnav::filter {
+
+/// Poses held in structure-of-arrays storage: pose i is
+/// (x[i * stride], y[i * stride], z[i * stride]) with heading
+/// yaw[i * stride], already wrapped to (-pi, pi].
+struct PoseSoa {
+  const double* x = nullptr;
+  const double* y = nullptr;
+  const double* z = nullptr;
+  const double* yaw = nullptr;
+  std::size_t stride = 1;
+
+  core::Pose at(std::size_t i) const {
+    const std::size_t k = i * stride;
+    core::Pose p;  // not Pose{..., yaw}: its constructor re-wraps yaw
+    p.position = {x[k], y[k], z[k]};
+    p.yaw = yaw[k];
+    return p;
+  }
+};
 
 /// Interface implemented by every likelihood backend.
 ///
@@ -42,6 +71,11 @@ namespace cimnav::filter {
 /// assumption.
 class MeasurementModel {
  public:
+  /// Poses per analog-noise stream of log_likelihoods (see there). Part
+  /// of the determinism contract: changing it changes every noisy
+  /// backend's weights.
+  static constexpr std::size_t kPoseBlock = 32;
+
   virtual ~MeasurementModel() = default;
 
   /// Log-likelihood (up to a pose-independent constant) of observing
@@ -50,6 +84,24 @@ class MeasurementModel {
   virtual double log_likelihood(const core::Pose& pose,
                                 const vision::DepthScan& scan,
                                 core::Rng& rng) const = 0;
+
+  /// Scores poses.at(0..n) against one scan into out[0..n) — the
+  /// particle filter's one entry point for a measurement update.
+  ///
+  /// Stream keying: poses form blocks of kPoseBlock consecutive indices;
+  /// block b draws its noise from core::Rng::stream(noise_root, b), and
+  /// inside a block the poses consume that stream in index order. out[i]
+  /// is therefore bit-equal to log_likelihood(poses.at(i), scan, rng_b)
+  /// with rng_b the block's stream after poses b * kPoseBlock .. i - 1,
+  /// and the evaluation counter grows by n * scan.pixels.size() — at any
+  /// `pool` (nullptr = serial; blocks fan over the pool).
+  ///
+  /// The default is exactly that block loop over log_likelihood. An
+  /// override may compute differently but must keep the contract.
+  virtual void log_likelihoods(const PoseSoa& poses, std::size_t n,
+                               const vision::DepthScan& scan,
+                               std::uint64_t noise_root, double* out,
+                               core::ThreadPool* pool) const;
 
   /// Human-readable backend name for reports.
   virtual const char* name() const = 0;
@@ -115,6 +167,19 @@ class HmgmLikelihood final : public MeasurementModel {
 /// reference over random probe points recovers the gain, which is applied
 /// as a digital post-scale — the mixed-signal analogue of per-chip
 /// calibration.
+///
+/// log_likelihoods evaluates each distinct DAC code triple of the call
+/// once instead of once per read, in four passes: (1) over the pool by
+/// pose block, back-project every pixel and pack its code-triple key;
+/// (2) serially, radix-sort the reads by key and number the distinct
+/// triples; (3) over the pool, compute the ideal current of every
+/// distinct triple; (4) over the pool by pose block, apply each read's
+/// noise and log-ADC in the per-block stream order of the contract.
+/// Weights and the evaluation count are bit-equal to the per-pose loop.
+/// The scratch (three 32-bit words per read plus one double per distinct
+/// triple) belongs to the calling thread and only grows when a call is
+/// larger than any before on that thread; nothing persists between
+/// calls as state.
 class CimHmgmLikelihood final : public MeasurementModel {
  public:
   /// Programs a fresh array from the HMGM and world mapping.
@@ -124,6 +189,9 @@ class CimHmgmLikelihood final : public MeasurementModel {
 
   double log_likelihood(const core::Pose& pose, const vision::DepthScan& scan,
                         core::Rng& rng) const override;
+  void log_likelihoods(const PoseSoa& poses, std::size_t n,
+                       const vision::DepthScan& scan, std::uint64_t noise_root,
+                       double* out, core::ThreadPool* pool) const override;
   const char* name() const override { return "hmgm-cim"; }
   /// One count per log-ADC read, including the construction-time
   /// calibration probes; counted once per scan, not per read.
@@ -133,6 +201,7 @@ class CimHmgmLikelihood final : public MeasurementModel {
   double evaluation_energy_j() const override { return eval_energy_j_; }
 
   const circuit::CimLikelihoodArray& array() const { return *array_; }
+  const map::WorldToVoltage& mapping() const { return mapping_; }
 
   /// Calibrated digital gain applied to raw log-ADC readings.
   double calibrated_gain() const { return gain_; }

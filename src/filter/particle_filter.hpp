@@ -15,8 +15,9 @@
 // materializes an AoS copy on demand; hot paths use soa().
 //
 // Determinism contract: results are bit-identical to the historical AoS
-// implementation at any thread count. Element-wise passes (likelihood
-// blocks, exp() normalization, the resample gather) fan over the pool in
+// implementation at any thread count. Element-wise passes (the
+// measurement model's block scoring, exp() normalization, the resample
+// gather) fan over the pool in
 // fixed-size blocks; every reduction that feeds a decision (max, weight
 // sum, the systematic-resampling cumulative chain) stays a serial
 // index-order chain because float addition is not associative — see
@@ -130,9 +131,10 @@ class ParticleFilter {
 
   /// Correction step: re-weights particles by measurement likelihood
   /// (Eq. 1b), then resamples if the ESS fraction falls below threshold.
-  /// Likelihoods are evaluated in fixed-size particle blocks fanned over
-  /// `pool` (nullptr = serial) with noise streams keyed on block indices,
-  /// so the result is bit-identical at any thread count.
+  /// The cloud is scored by one MeasurementModel::log_likelihoods call
+  /// (noise streams keyed on blocks of kPoseBlock particles, `pool`
+  /// nullptr = serial), so the result is bit-identical at any thread
+  /// count.
   void update(const vision::DepthScan& scan, const MeasurementModel& model,
               core::Rng& rng, core::ThreadPool* pool = nullptr);
 

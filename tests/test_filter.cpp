@@ -2,7 +2,9 @@
 // backends.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "core/rng.hpp"
 #include "core/stats.hpp"
@@ -292,6 +294,85 @@ TEST_F(ScenarioTest, CimEvaluationCounterExactUnderPooledUpdate) {
   }
   EXPECT_EQ(weights[0], weights[1]);
   EXPECT_EQ(weights[0], weights[2]);
+}
+
+TEST_F(ScenarioTest, CimBlockScoringMatchesPerPoseOracle) {
+  // Independent reference for the deduplicated CIM path: the block-keyed
+  // loop over log_likelihood (blocks of 32 poses, one stream per block),
+  // written out here. update and update_decimated must reproduce it bit
+  // for bit, with the same evaluation-count delta.
+  static_assert(MeasurementModel::kPoseBlock == 32);
+  ScenarioConfig cfg = small_config();
+  cfg.scan_pixels = 80;
+  const LocalizationScenario sc(cfg);
+  const auto model = sc.make_cim_backend();
+  const auto& cim = dynamic_cast<const CimHmgmLikelihood&>(*model);
+  // Key packing contract: code(x) low, then code(y), then code(z).
+  const auto& arr = cim.array();
+  const auto bits = static_cast<unsigned>(arr.dac().bits());
+  for (const Vec3 v : {Vec3{0.2, 0.5, 0.8}, Vec3{0.9, 0.1, 0.4}}) {
+    EXPECT_EQ(arr.key(v), arr.dac().encode(v.x) |
+                              arr.dac().encode(v.y) << bits |
+                              arr.dac().encode(v.z) << 2 * bits);
+  }
+  const vision::DepthScan& full = sc.scans()[2];
+  ASSERT_EQ(full.pixels.size(), 80u);
+  core::ThreadPool p1(1), p2(2), p8(8);
+  for (core::ThreadPool* pool :
+       {(core::ThreadPool*)nullptr, &p1, &p2, &p8}) {
+    for (int count : {1, 33, 900}) {
+      for (std::size_t stride : {1u, 3u}) {
+        for (std::size_t pixels : {0u, 1u, 80u}) {
+          vision::DepthScan scan = full;
+          scan.pixels.resize(pixels);
+          ParticleFilterConfig fcfg = cfg.filter;
+          fcfg.particle_count = count;
+          fcfg.resample_threshold = 0.0;  // weights = log-likelihoods
+          fcfg.tempering_ess_floor = 0.0;
+          ParticleFilter pf(fcfg);
+          Rng rng(41);
+          pf.init_gaussian(sc.trajectory().poses[3], {0.3, 0.3, 0.15}, 0.3,
+                           rng);
+          // A NaN coordinate encodes to DAC code 0 by contract.
+          pf.mutable_soa().x[count == 1 ? 0 : 30] =
+              std::numeric_limits<double>::quiet_NaN();
+          Rng ref_rng = rng;
+          const std::uint64_t noise_root = ref_rng();
+          const std::uint64_t before = model->evaluation_count();
+          if (stride == 1) {
+            pf.update(scan, *model, rng, pool);
+          } else {
+            pf.update_decimated(scan, *model, 1.0 / 3.0, rng, pool);
+          }
+          const std::uint64_t pf_evals = model->evaluation_count() - before;
+
+          const SoaView soa = pf.soa();
+          const std::size_t n_reps = (soa.count + stride - 1) / stride;
+          std::vector<double> ref(n_reps);
+          Rng block_rng(0);
+          for (std::size_t r = 0; r < n_reps; ++r) {
+            if (r % 32 == 0) block_rng = Rng::stream(noise_root, r / 32);
+            Pose p;
+            p.position = {soa.x[r * stride], soa.y[r * stride],
+                          soa.z[r * stride]};
+            p.yaw = soa.yaw[r * stride];
+            ref[r] = model->log_likelihood(p, scan, block_rng);
+          }
+          const std::uint64_t ref_evals =
+              model->evaluation_count() - before - pf_evals;
+          EXPECT_EQ(pf_evals, ref_evals);
+          EXPECT_EQ(pf_evals, n_reps * pixels);
+          for (std::size_t i = 0; i < soa.count; ++i) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(soa.log_weight[i]),
+                      std::bit_cast<std::uint64_t>(ref[i / stride]))
+                << "pool " << (pool ? pool->thread_count() : 0) << " count "
+                << count << " stride " << stride << " pixels " << pixels
+                << " particle " << i;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST_F(ScenarioTest, GlobalLocalizationConverges) {

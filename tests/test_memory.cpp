@@ -21,6 +21,7 @@
 #include "filter/measurement.hpp"
 #include "filter/motion.hpp"
 #include "filter/particle_filter.hpp"
+#include "filter/scenario.hpp"
 #include "nn/mlp.hpp"
 #include "prob/logspace.hpp"
 #include "vision/depth.hpp"
@@ -465,6 +466,47 @@ TEST(ZeroAllocation, SteadyStateFilterCyclesNeverTouchTheHeap) {
   // Every frame resampled (threshold 1.0): one pool block cycle each.
   EXPECT_EQ(after.pool_acquires, warm.pool_acquires + 8);
   EXPECT_EQ(after.pool_releases, warm.pool_releases + 8);
+}
+
+TEST(ZeroAllocation, CimBackendFilterCyclesNeverTouchTheHeap) {
+  // The deduplicating CIM update keeps its scratch per calling thread and
+  // grows it only for a larger update: after one warm-up update of the
+  // same cloud size, serial and pooled cycles stay off the heap.
+  filter::ScenarioConfig scfg;
+  scfg.scene.room_size = {2.6, 2.2, 1.8};
+  scfg.scene.furniture_count = 4;
+  scfg.scene.clutter_count = 6;
+  scfg.map_cloud_points = 1500;
+  scfg.mixture_components = 25;
+  scfg.trajectory_steps = 6;
+  scfg.cim_columns = 120;
+  const filter::LocalizationScenario sc(scfg);
+  const auto model = sc.make_cim_backend();
+  const vision::DepthScan& scan = sc.scans()[2];
+  ThreadPool pool2(2);
+  for (ThreadPool* pool : {(ThreadPool*)nullptr, &pool2}) {
+    filter::ParticleFilterConfig cfg;
+    cfg.particle_count = 300;
+    cfg.resample_threshold = 1.0;  // resample every frame
+    filter::ParticleFilter pf(cfg);
+    Rng rng(9);
+    pf.init_gaussian(sc.trajectory().poses[3], {0.3, 0.3, 0.2}, 0.1, rng);
+    const filter::Control ctl{{0.02, 0.0, 0.0}, 0.01};
+    pf.predict(ctl, rng);
+    pf.update(scan, *model, rng, pool);  // warm-up
+
+    g_heap_allocs.store(0);
+    g_count_heap.store(true);
+    for (int frame = 0; frame < 6; ++frame) {
+      pf.predict(ctl, rng);
+      pf.update(scan, *model, rng, pool);
+      (void)pf.estimate();
+    }
+    g_count_heap.store(false);
+    EXPECT_EQ(g_heap_allocs.load(), 0u)
+        << "CIM update cycle touched the heap (pool "
+        << (pool ? pool->thread_count() : 0) << ")";
+  }
 }
 
 TEST(ZeroAllocation, TrainEpochAllocationsDoNotGrowWithSampleCount) {
