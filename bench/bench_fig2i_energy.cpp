@@ -10,7 +10,6 @@
 #include <iostream>
 
 #include "cimsram/cim_macro.hpp"
-#include "cimsram/sharded_macro.hpp"
 #include "core/rng.hpp"
 #include "core/table.hpp"
 #include "energy/likelihood_energy.hpp"
@@ -86,8 +85,8 @@ int main() {
     cimsram::CimMacroConfig shard_cfg = mono_cfg;
     shard_cfg.max_rows = 64;
     shard_cfg.max_cols = 64;
-    const auto mono = cimsram::make_macro(w, n, n, mono_cfg, 1.0 / 15.0);
-    const auto grid = cimsram::make_macro(w, n, n, shard_cfg, 1.0 / 15.0);
+    const cimsram::CimMacro mono(w, n, n, mono_cfg, 1.0 / 15.0);
+    const cimsram::CimMacro grid(w, n, n, shard_cfg, 1.0 / 15.0);
 
     std::vector<double> x(static_cast<std::size_t>(n));
     for (auto& v : x) v = rng.uniform();
@@ -97,14 +96,14 @@ int main() {
     for (std::size_t i = 0; i < out_mask.size(); i += 4) out_mask[i] = 0;
     core::Rng arng(43);
     for (int k = 0; k < 100; ++k) {
-      mono->matvec(x, in_mask, out_mask, arng);
-      grid->matvec(x, in_mask, out_mask, arng);
+      mono.matvec(x, in_mask, out_mask, arng);
+      grid.matvec(x, in_mask, out_mask, arng);
     }
     core::Table measured({"layout", "wordline pulses", "wl col-drives",
                           "adc conversions", "energy [nJ]"});
     measured.set_precision(3);
-    const auto ms = mono->stats();
-    const auto gs = grid->stats();
+    const auto ms = mono.stats();
+    const auto gs = grid.stats();
     measured.add_row({std::string("monolithic 128x128"),
                       static_cast<double>(ms.wordline_pulses),
                       static_cast<double>(ms.wordline_col_drives),

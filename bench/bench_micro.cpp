@@ -22,7 +22,7 @@
 #include "circuit/array.hpp"
 #include "cimsram/backend.hpp"
 #include "cimsram/cim_macro.hpp"
-#include "cimsram/conformance.hpp"
+#include "conformance/conformance.hpp"
 #include "core/thread_pool.hpp"
 #include "filter/particle_filter.hpp"
 #include "nn/cim_mlp.hpp"

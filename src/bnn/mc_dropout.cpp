@@ -9,38 +9,6 @@
 namespace cimnav::bnn {
 namespace {
 
-/// Welford accumulator over vectors.
-class VectorStats {
- public:
-  explicit VectorStats(std::size_t dim) : mean_(dim, 0.0), m2_(dim, 0.0) {}
-
-  void add(const nn::Vector& v) {
-    ++n_;
-    for (std::size_t i = 0; i < mean_.size(); ++i) {
-      const double delta = v[i] - mean_[i];
-      mean_[i] += delta / static_cast<double>(n_);
-      m2_[i] += delta * (v[i] - mean_[i]);
-    }
-  }
-
-  McPrediction finish() const {
-    McPrediction p;
-    p.mean = mean_;
-    p.variance.assign(mean_.size(), 0.0);
-    if (n_ > 1) {
-      for (std::size_t i = 0; i < mean_.size(); ++i)
-        p.variance[i] = m2_[i] / static_cast<double>(n_ - 1);
-    }
-    p.samples = static_cast<int>(n_);
-    return p;
-  }
-
- private:
-  std::size_t n_ = 0;
-  nn::Vector mean_;
-  nn::Vector m2_;
-};
-
 /// Mask-site widths of `net`: the input site (when input-site dropout is
 /// on), then every hidden layer. Fills `widths` reusing its capacity.
 void mask_site_widths(const nn::CimMlp& net, std::vector<int>& widths) {
@@ -52,9 +20,8 @@ void mask_site_widths(const nn::CimMlp& net, std::vector<int>& widths) {
 
 /// Serial Welford reduction of one frame's iteration outputs into `pred`
 /// in place (pred.variance doubles as the M2 accumulator until the final
-/// scale). Exactly VectorStats' arithmetic in the same order, so results
-/// are bit-identical to the add/finish path — but without allocating once
-/// pred's vectors are warm.
+/// scale; allocation-free once pred's vectors are warm). Every predictor
+/// reduces its T outputs through this one function.
 void reduce_outputs(const std::vector<nn::Vector>& outs, std::size_t n_out,
                     McPrediction& pred) {
   pred.mean.assign(n_out, 0.0);
@@ -150,13 +117,15 @@ McPrediction mc_predict_float(const nn::Mlp& net, const nn::Vector& x,
                               int iterations, double dropout_p,
                               MaskSource& masks) {
   CIMNAV_REQUIRE(iterations >= 1, "need at least one iteration");
-  VectorStats stats(static_cast<std::size_t>(net.output_size()));
-  for (int t = 0; t < iterations; ++t) {
+  std::vector<nn::Vector> outs(static_cast<std::size_t>(iterations));
+  for (auto& out : outs) {
     const auto mask_set =
         net.sample_masks([&] { return masks.draw(dropout_p); });
-    stats.add(net.forward_masked(x, mask_set));
+    out = net.forward_masked(x, mask_set);
   }
-  return stats.finish();
+  McPrediction pred;
+  reduce_outputs(outs, static_cast<std::size_t>(net.output_size()), pred);
+  return pred;
 }
 
 std::uint64_t hamming_distance(const nn::Mask& a, const nn::Mask& b) {

@@ -116,7 +116,7 @@ FillCountsFn select_fill_counts(int words) {
 
 // Sparse stage-1 kernel for delta dispatch: per-rail coincidence counts
 // of the differential read. Only the listed packed words can hold set
-// bits in either gate buffer (run_columns_delta contract), so the scan
+// bits in either gate buffer (run_columns' delta contract), so the scan
 // touches n_words words per cycle instead of all of them; added word
 // lines accumulate on the sample rail (`counts_add`), removed ones on
 // the hold rail (`counts_rem`). Either buffer may be null (no flips in
@@ -256,34 +256,36 @@ FillCountsDeltaFn select_fill_counts_delta(int n_words, int words,
 }
 
 // ---------------------------------------------------------------------------
-// Reference kernel: scalar, noise drawn sequentially from the caller's
-// stream in cycle order. This is the pre-backend engine path, preserved
-// bit-for-bit; the ideal branch doubles as the cross-backend ground truth.
+// Scalar kernel, shared by both backends: `noise` (nullable) is consumed
+// sequentially, one Rng::normal_fast per cycle of each active column in
+// cycle order. "reference" passes the caller's stream — the pre-backend
+// engine path, preserved bit-for-bit, whose ideal branch doubles as the
+// cross-backend ground truth; the bit-sliced fallback passes a stream
+// keyed off one root draw, matching the AVX2 path's consumption of the
+// caller's stream.
+//
+// A non-null `word_list` selects the differential delta read: the stage-1
+// scan counts `gated_add` (sample rail) and `gated_rem` (hold rail) over
+// the listed packed words only, and the column ADC performs a correlated
+// double sample — each rail converts through the dense unsigned quantizer,
+// the op emits their signed difference (codes in [-levels, +levels]). The
+// per-rail quantization is bit-for-bit the dense read's, so delta
+// accumulation tracks a dense re-read's lattice. A null `word_list` is the
+// dense full-width unsigned read (`gated_rem` ignored).
 // ---------------------------------------------------------------------------
 
-// `word_list`/`n_words` non-null selects the differential delta read: the
-// stage-1 scan counts gated_planes (add rail) and `gated_rem` (hold rail)
-// over the listed packed words only, and the column ADC performs a
-// correlated double sample — each rail converts through the dense
-// unsigned quantizer, the op emits their signed difference (codes in
-// [-levels, +levels]). The per-rail quantization is bit-for-bit the
-// dense read's, so delta accumulation tracks a dense re-read's lattice.
-// nullptr means the dense full-width unsigned read (`gated_rem`
-// ignored).
-void reference_run_columns(const MacroView& v,
-                           const std::uint64_t* gated_planes,
-                           const std::uint64_t* gated_rem,
-                           const std::int32_t* word_list, int n_words,
-                           std::uint64_t active_rows,
-                           const std::uint8_t* out_mask, int col_begin,
-                           int col_end, bool ideal, core::Rng* rng,
-                           double* y) {
+void scalar_run_columns(const MacroView& v, const std::uint64_t* gated_add,
+                        const std::uint64_t* gated_rem,
+                        const std::int32_t* word_list, int n_words,
+                        std::uint64_t active_rows,
+                        const std::uint8_t* out_mask, bool ideal,
+                        core::Rng* noise, double* y) {
   // The column ADC spans the full physical row count.
   const double adc_levels = static_cast<double>((1 << v.adc_bits) - 1);
   const double adc_step = static_cast<double>(v.n_in) / adc_levels;
   const double inv_adc_step = 1.0 / adc_step;
   const bool noisy =
-      !ideal && v.analog_noise && rng != nullptr && active_rows > 0;
+      !ideal && v.analog_noise && noise != nullptr && active_rows > 0;
   const double noise_sigma =
       noisy ? v.noise_coeff * std::sqrt(static_cast<double>(active_rows))
             : 0.0;
@@ -298,10 +300,10 @@ void reference_run_columns(const MacroView& v,
   const FillCountsDeltaFn dfill =
       word_list != nullptr
           ? select_fill_counts_delta(n_words, v.words,
-                                     gated_planes != nullptr,
+                                     gated_add != nullptr,
                                      gated_rem != nullptr)
           : nullptr;
-  for (int j = col_begin; j < col_end; ++j) {
+  for (int j = 0; j < v.n_out; ++j) {
     if (out_mask != nullptr && !out_mask[static_cast<std::size_t>(j)]) {
       y[j] = 0.0;
       continue;
@@ -314,10 +316,10 @@ void reference_run_columns(const MacroView& v,
     double counts[kMaxCycles];
     double counts_rem[kMaxCycles];
     if (dfill != nullptr)
-      dfill(col, gated_planes, gated_rem, word_list, n_words, 2 * v.planes,
+      dfill(col, gated_add, gated_rem, word_list, n_words, 2 * v.planes,
             v.input_bits, words, counts, counts_rem);
     else
-      fill(col, gated_planes, 2 * v.planes, v.input_bits, words, counts);
+      fill(col, gated_add, 2 * v.planes, v.input_bits, words, counts);
 
     // Stage 2: per-cycle analog disturbance (sequential draws, in cycle
     // order, so the noise stream consumption is well defined). On the
@@ -325,7 +327,7 @@ void reference_run_columns(const MacroView& v,
     // rail; its sigma already spans every driven line (active_rows).
     if (noisy) {
       for (int i = 0; i < cycles; ++i)
-        counts[i] += noise_sigma * rng->normal_fast();
+        counts[i] += noise_sigma * noise->normal_fast();
     }
 
     // Stage 3: ADC quantization + shift-add reduction (vectorizable; no
@@ -360,85 +362,6 @@ void reference_run_columns(const MacroView& v,
       else
         for (int i = 0; i < cycles; ++i) acc += wtab[i] * counts[i];
     }
-    y[j] = acc * v.weight_scale * v.input_scale;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Bit-sliced kernel, scalar fallback: same count/ADC math as the reference
-// but with noise drawn from a stream derived off the caller's rng (one
-// root draw per run_columns call), matching the AVX2 path's consumption
-// pattern so scalar and vector hosts agree on how the caller's stream
-// advances.
-// ---------------------------------------------------------------------------
-
-void bitsliced_run_columns_scalar(const MacroView& v,
-                                  const std::uint64_t* gated_planes,
-                                  const std::uint64_t* gated_rem,
-                                  const std::int32_t* word_list, int n_words,
-                                  std::uint64_t active_rows,
-                                  const std::uint8_t* out_mask,
-                                  int col_begin, int col_end,
-                                  std::uint64_t noise_root, double* y) {
-  const double adc_levels = static_cast<double>((1 << v.adc_bits) - 1);
-  const double adc_step = static_cast<double>(v.n_in) / adc_levels;
-  const double inv_adc_step = 1.0 / adc_step;
-  const bool noisy = v.analog_noise && active_rows > 0;
-  const double noise_sigma =
-      noisy ? v.noise_coeff * std::sqrt(static_cast<double>(active_rows))
-            : 0.0;
-  const std::size_t words = static_cast<std::size_t>(v.words);
-  const std::size_t col_stride = 2u * static_cast<std::size_t>(v.planes) *
-                                 words;
-
-  double wtab[kMaxCycles];
-  const int cycles = fill_wtab(v, wtab);
-  core::Rng noise_rng = core::Rng::stream(noise_root, 0);
-
-  const FillCountsFn fill = select_fill_counts(v.words);
-  const FillCountsDeltaFn dfill =
-      word_list != nullptr
-          ? select_fill_counts_delta(n_words, v.words,
-                                     gated_planes != nullptr,
-                                     gated_rem != nullptr)
-          : nullptr;
-  for (int j = col_begin; j < col_end; ++j) {
-    if (out_mask != nullptr && !out_mask[static_cast<std::size_t>(j)]) {
-      y[j] = 0.0;
-      continue;
-    }
-    const std::uint64_t* col =
-        v.weight_bits + static_cast<std::size_t>(j) * col_stride;
-    double counts[kMaxCycles];
-    double counts_rem[kMaxCycles];
-    if (dfill != nullptr)
-      dfill(col, gated_planes, gated_rem, word_list, n_words, 2 * v.planes,
-            v.input_bits, words, counts, counts_rem);
-    else
-      fill(col, gated_planes, 2 * v.planes, v.input_bits, words, counts);
-    if (noisy) {
-      for (int i = 0; i < cycles; ++i)
-        counts[i] += noise_sigma * noise_rng.normal_fast();
-    }
-    double acc = 0.0;
-    if (dfill != nullptr) {
-      // Correlated double sample: both rails through the dense quantizer,
-      // signed code difference out.
-      for (int i = 0; i < cycles; ++i) {
-        double ca = std::floor(counts[i] * inv_adc_step + 0.5);
-        ca = ca < 0.0 ? 0.0 : (ca > adc_levels ? adc_levels : ca);
-        double cr = std::floor(counts_rem[i] * inv_adc_step + 0.5);
-        cr = cr < 0.0 ? 0.0 : (cr > adc_levels ? adc_levels : cr);
-        acc += wtab[i] * (ca - cr);
-      }
-    } else {
-      for (int i = 0; i < cycles; ++i) {
-        double code = std::floor(counts[i] * inv_adc_step + 0.5);
-        code = code < 0.0 ? 0.0 : (code > adc_levels ? adc_levels : code);
-        acc += wtab[i] * code;
-      }
-    }
-    acc *= adc_step;
     y[j] = acc * v.weight_scale * v.input_scale;
   }
 }
@@ -645,9 +568,8 @@ void bitsliced_run_columns_avx2(const MacroView& v,
                                 const std::uint64_t* gated_rem,
                                 const std::int32_t* word_list, int n_words,
                                 std::uint64_t active_rows,
-                                const std::uint8_t* out_mask, int col_begin,
-                                int col_end, std::uint64_t noise_root,
-                                double* y) {
+                                const std::uint8_t* out_mask,
+                                std::uint64_t noise_root, double* y) {
   const double adc_levels = static_cast<double>((1 << v.adc_bits) - 1);
   const double adc_step = static_cast<double>(v.n_in) / adc_levels;
   const double inv_adc_step = 1.0 / adc_step;
@@ -676,9 +598,9 @@ void bitsliced_run_columns_avx2(const MacroView& v,
   int active_cols = 0;
   if (noisy) {
     if (out_mask == nullptr) {
-      active_cols = col_end - col_begin;
+      active_cols = v.n_out;
     } else {
-      for (int j = col_begin; j < col_end; ++j)
+      for (int j = 0; j < v.n_out; ++j)
         active_cols += out_mask[static_cast<std::size_t>(j)] ? 1 : 0;
     }
   }
@@ -702,7 +624,7 @@ void bitsliced_run_columns_avx2(const MacroView& v,
   alignas(32) double counts_rem[kMaxCycles];
   const double* noise = noise_all.data();
 
-  for (int j = col_begin; j < col_end; ++j) {
+  for (int j = 0; j < v.n_out; ++j) {
     if (out_mask != nullptr && !out_mask[static_cast<std::size_t>(j)]) {
       y[j] = 0.0;
       continue;
@@ -762,15 +684,14 @@ class ReferenceBackend final : public ComputeBackend {
     // The reference IS the draw-sequential noise contract.
     return {.draw_compatible_noise = true, .vectorized = false};
   }
-  void run_columns(const MacroView& v, const std::uint64_t* gated_planes,
+  void run_columns(const MacroView& v, const std::uint64_t* gated_add,
+                   const std::uint64_t* gated_rem,
+                   const std::int32_t* word_list, int n_words,
                    std::uint64_t active_rows, const std::uint8_t* out_mask,
-                   int col_begin, int col_end, bool ideal, core::Rng* rng,
-                   double* y) const override {
-    reference_run_columns(v, gated_planes, nullptr, nullptr, 0, active_rows,
-                          out_mask, col_begin, col_end, ideal, rng, y);
+                   bool ideal, core::Rng* rng, double* y) const override {
+    scalar_run_columns(v, gated_add, gated_rem, word_list, n_words,
+                       active_rows, out_mask, ideal, rng, y);
   }
-  // run_columns_delta: inherits the base default, which IS the reference
-  // kernel (draw-sequential noise, shared signed-clamp math).
 };
 
 class BitSlicedBackend final : public ComputeBackend {
@@ -786,39 +707,17 @@ class BitSlicedBackend final : public ComputeBackend {
     return {.draw_compatible_noise = false, .vectorized = false};
 #endif
   }
-  void run_columns(const MacroView& v, const std::uint64_t* gated_planes,
+  void run_columns(const MacroView& v, const std::uint64_t* gated_add,
+                   const std::uint64_t* gated_rem,
+                   const std::int32_t* word_list, int n_words,
                    std::uint64_t active_rows, const std::uint8_t* out_mask,
-                   int col_begin, int col_end, bool ideal, core::Rng* rng,
-                   double* y) const override {
-    run_impl(v, gated_planes, nullptr, nullptr, 0, active_rows, out_mask,
-             col_begin, col_end, ideal, rng, y);
-  }
-  void run_columns_delta(const MacroView& v,
-                         const std::uint64_t* gated_add,
-                         const std::uint64_t* gated_rem,
-                         const std::int32_t* word_list, int n_words,
-                         std::uint64_t active_rows,
-                         const std::uint8_t* out_mask, int col_begin,
-                         int col_end, bool ideal, core::Rng* rng,
-                         double* y) const override {
-    run_impl(v, gated_add, gated_rem, word_list, n_words, active_rows,
-             out_mask, col_begin, col_end, ideal, rng, y);
-  }
-
- private:
-  static void run_impl(const MacroView& v, const std::uint64_t* gated_planes,
-                       const std::uint64_t* gated_rem,
-                       const std::int32_t* word_list, int n_words,
-                       std::uint64_t active_rows,
-                       const std::uint8_t* out_mask, int col_begin,
-                       int col_end, bool ideal, core::Rng* rng, double* y) {
+                   bool ideal, core::Rng* rng, double* y) const override {
     if (ideal || rng == nullptr) {
       // The ideal reduction is exact integer arithmetic in double, so the
       // scalar kernel is already bit-identical to any evaluation order;
       // share it with the reference for a single source of truth.
-      reference_run_columns(v, gated_planes, gated_rem, word_list, n_words,
-                            active_rows, out_mask, col_begin, col_end,
-                            /*ideal=*/true, nullptr, y);
+      scalar_run_columns(v, gated_add, gated_rem, word_list, n_words,
+                         active_rows, out_mask, /*ideal=*/true, nullptr, y);
       return;
     }
     // One root draw per call keys the noise stream; the caller's stream
@@ -827,15 +726,15 @@ class BitSlicedBackend final : public ComputeBackend {
 #if CIMNAV_X86
     static const bool kHaveAvx2 = cpu_has_avx2_fma();
     if (kHaveAvx2) {
-      bitsliced_run_columns_avx2(v, gated_planes, gated_rem, word_list,
-                                 n_words, active_rows, out_mask, col_begin,
-                                 col_end, noise_root, y);
+      bitsliced_run_columns_avx2(v, gated_add, gated_rem, word_list,
+                                 n_words, active_rows, out_mask, noise_root,
+                                 y);
       return;
     }
 #endif
-    bitsliced_run_columns_scalar(v, gated_planes, gated_rem, word_list,
-                                 n_words, active_rows, out_mask, col_begin,
-                                 col_end, noise_root, y);
+    core::Rng noise = core::Rng::stream(noise_root, 0);
+    scalar_run_columns(v, gated_add, gated_rem, word_list, n_words,
+                       active_rows, out_mask, /*ideal=*/false, &noise, y);
   }
 };
 
@@ -858,20 +757,6 @@ core::NameRegistry<const ComputeBackend*>& registry() {
 }
 
 }  // namespace
-
-void ComputeBackend::run_columns_delta(
-    const MacroView& view, const std::uint64_t* gated_add,
-    const std::uint64_t* gated_rem, const std::int32_t* word_list,
-    int n_words, std::uint64_t active_rows, const std::uint8_t* out_mask,
-    int col_begin, int col_end, bool ideal, core::Rng* rng,
-    double* y) const {
-  // Default = the reference kernel: draw-sequential noise, shared
-  // signed-clamp math. Backends with their own noise contract (bitsliced)
-  // override with a matching differential kernel.
-  reference_run_columns(view, gated_add, gated_rem, word_list, n_words,
-                        active_rows, out_mask, col_begin, col_end, ideal,
-                        rng, y);
-}
 
 const ComputeBackend& backend(std::string_view name) {
   if (name.empty() || name == "auto") name = "bitsliced";

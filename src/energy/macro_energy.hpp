@@ -33,7 +33,7 @@ double layer_energy_j(int active_rows, int active_cols, int input_bits,
                       int adc_bits, const SramCim16nm& tech = {});
 
 /// Energy of a *measured* activity snapshot: a cimsram::MacroStats
-/// aggregate (one macro, a shard grid, or a whole CimMlp via
+/// aggregate (one layer on any array grid, or a whole CimMlp via
 /// total_stats()) priced with the same per-event costs as the analytic
 /// model. wordline_pulses are word-line events and adc_conversions are
 /// column readouts (bit line + ADC + shift-add), so this is the

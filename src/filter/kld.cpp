@@ -49,16 +49,6 @@ void require_bins(const KldConfig& config) {
 
 }  // namespace
 
-int count_occupied_bins(const std::vector<Particle>& particles,
-                        const KldConfig& config) {
-  require_bins(config);
-  std::unordered_set<std::uint64_t> bins;
-  for (const auto& p : particles)
-    bins.insert(bin_key(p.pose.position.x, p.pose.position.y,
-                        p.pose.position.z, p.pose.yaw, config));
-  return static_cast<int>(bins.size());
-}
-
 int count_occupied_bins(const SoaView& cloud, const KldConfig& config) {
   require_bins(config);
   std::unordered_set<std::uint64_t> bins;

@@ -32,12 +32,8 @@ struct KldConfig {
 /// Wilson-Hilferty approximation). Returns min_particles for k <= 1.
 int kld_required_particles(int occupied_bins, const KldConfig& config);
 
-/// Counts the occupied (x, y, z, yaw) histogram bins of a particle set.
-int count_occupied_bins(const std::vector<Particle>& particles,
-                        const KldConfig& config);
-
-/// Zero-copy variant over the filter's SoA view (same bins, no AoS
-/// materialization) — what kld_resample uses.
+/// Counts the occupied (x, y, z, yaw) histogram bins of the filter's SoA
+/// cloud — what kld_resample uses.
 int count_occupied_bins(const SoaView& cloud, const KldConfig& config);
 
 /// Systematic resampling to an adaptively-chosen particle count: resamples

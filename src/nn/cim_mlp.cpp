@@ -62,13 +62,13 @@ CimMlp::CimMlp(const Mlp& reference,
     const Matrix& w = reference.weights(l);
     const double scale = act_max[static_cast<std::size_t>(l)] *
                          kScaleHeadroom / static_cast<double>(max_code);
-    macros_.push_back(cimsram::make_macro(w.data(), w.rows(), w.cols(),
-                                          macro_config, scale));
+    macros_.push_back(std::make_unique<cimsram::CimMacro>(
+        w.data(), w.rows(), w.cols(), macro_config, scale));
     biases_.push_back(reference.biases(l));
   }
 }
 
-const cimsram::MacroLike& CimMlp::macro(int layer) const {
+const cimsram::CimMacro& CimMlp::macro(int layer) const {
   CIMNAV_REQUIRE(layer >= 0 && layer < layer_count(), "layer out of range");
   return *macros_[static_cast<std::size_t>(layer)];
 }
@@ -158,7 +158,7 @@ void CimMlp::forward_window(const std::vector<FrameBatch>& frames,
       for (std::size_t i = begin; i < end; ++i) {
         const std::size_t f = scratch.frame_of[i];
         const std::size_t t = scratch.iter_of[i];
-        // Scoped to the item body: a sharded matvec runs its shards
+        // Scoped to the item body: a grid read runs its arrays
         // serially on this thread, so the capture sees exactly this
         // item's accounting and nothing else.
         const cimsram::ScopedStatsCapture capture(

@@ -1,9 +1,9 @@
 // MLP inference executed on simulated 8T-SRAM CIM macros (paper Fig. 3a).
 //
-// Each weight layer is programmed into one cimsram::MacroLike — a
-// monolithic CimMacro, or a ShardedMacro grid when the layer exceeds the
-// configured physical array bounds (CimMacroConfig::max_rows/max_cols);
-// the network code is identical either way. Biases, ReLU and the
+// Each weight layer is programmed into one cimsram::CimMacro, which maps
+// it onto a grid of physical arrays when the layer exceeds the configured
+// bounds (CimMacroConfig::max_rows/max_cols); the network code is
+// identical either way. Biases, ReLU and the
 // inverted-dropout scaling stay digital (as in the paper's architecture,
 // where only the matrix products live in the array). Dropout masks map
 // onto the macro's physical ports: the input-site mask gates word lines
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "cimsram/cim_macro.hpp"
-#include "cimsram/sharded_macro.hpp"
 #include "core/rng.hpp"
 #include "core/thread_pool.hpp"
 #include "nn/mlp.hpp"
@@ -36,8 +35,8 @@ namespace cimnav::nn {
 /// CIM-executed snapshot of a trained Mlp.
 class CimMlp {
  public:
-  /// Programs one macro per layer (sharded when the layer exceeds the
-  /// config's physical bounds). Activation scales are calibrated by
+  /// Programs one macro per layer (an array grid when the layer exceeds
+  /// the config's physical bounds). Activation scales are calibrated by
   /// running the float reference (with representative dropout masks) on
   /// `calibration_inputs`.
   CimMlp(const Mlp& reference, const cimsram::CimMacroConfig& macro_config,
@@ -45,8 +44,8 @@ class CimMlp {
 
   /// Number of weight layers (= programmed macros).
   int layer_count() const { return static_cast<int>(macros_.size()); }
-  /// The macro executing `layer` (monolithic or sharded; throws on range).
-  const cimsram::MacroLike& macro(int layer) const;
+  /// The macro executing `layer` (throws on range).
+  const cimsram::CimMacro& macro(int layer) const;
 
   /// One frame of a multi-frame MC-Dropout window (forward_window): the
   /// frame's shared input, its per-iteration mask sets, and the root of
@@ -142,7 +141,7 @@ class CimMlp {
   /// chains out as work items and each runs its serial loop: a dense
   /// (re)initialization of the locus accumulator at the chain's first
   /// position, then per position one differential delta read
-  /// (MacroLike::matvec_delta) netting the added rows against the removed
+  /// (CimMacro::matvec_delta) netting the added rows against the removed
   /// rows — skipped, with no draw, when no row flipped — followed by the
   /// dense tail layers.
   ///
@@ -153,7 +152,7 @@ class CimMlp {
                             core::ThreadPool* pool,
                             ReuseScratch& scratch) const;
 
-  /// Aggregate macro activity (sum over layers and shards). Callers
+  /// Aggregate macro activity (sum over layers and their arrays). Callers
   /// snapshot this around a pass and price the delta through
   /// energy::macro_stats_energy_j — the stage-B half of the closed
   /// loop's energy ledger (bnn::McWorkload carries the deltas; the
@@ -178,7 +177,7 @@ class CimMlp {
   void finish_layer(Vector& z, const Vector& bias, const Mask& col_mask,
                     bool hidden) const;
 
-  std::vector<std::unique_ptr<cimsram::MacroLike>> macros_;
+  std::vector<std::unique_ptr<cimsram::CimMacro>> macros_;
   std::vector<Vector> biases_;
   double keep_scale_ = 2.0;
   bool dropout_on_input_ = true;

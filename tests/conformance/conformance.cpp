@@ -1,4 +1,4 @@
-#include "cimsram/conformance.hpp"
+#include "conformance/conformance.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -99,7 +99,7 @@ CaseResult check_ideal(const CaseSpec& c) {
   const auto ref = make_case_macro(c, "reference");
   // Shard-reduction identity: a grid must produce the monolithic macro's
   // exact bits (scale-last integer reduction).
-  std::unique_ptr<MacroLike> mono_ref;
+  std::unique_ptr<CimMacro> mono_ref;
   if (c.geom.sharded()) {
     CaseSpec mono = c;
     mono.geom.max_rows = 0;
@@ -348,7 +348,7 @@ CaseResult check_delta(const CaseSpec& c) {
     Rng r4(c.seed ^ 0x97), r5(c.seed ^ 0x99);
     test->matvec_delta(enc_t, add.data(), add.size(), nullptr, 0, r4, ya);
     std::vector<std::uint64_t> gate(
-        static_cast<std::size_t>(test->gate_words()), 0);
+        static_cast<std::size_t>((c.geom.n_in + 63) / 64), 0);
     for (std::size_t r : add) gate[r >> 6] |= 1ull << (r & 63u);
     test->matvec_encoded(enc_t, gate, no_mask, r5, yb);
     ck.expect_bitwise(ya, yb, "delta/one-sided-vs-dense");
@@ -568,9 +568,9 @@ std::vector<InputFamily> families() {
 
 std::vector<CaseGeometry> geometries(Tier tier) {
   // Odd-row monolithic shapes double as the ADC-only bitwise geometries
-  // (tie-free, see the header). The two shard grids are the harness's
-  // standing ShardedMacro coverage: a 2x2 64x48 grid with ragged tails
-  // and a row-split-only 2x1 grid.
+  // (tie-free, see the header). The two array grids are the harness's
+  // standing grid coverage: a 2x2 64x48 grid with ragged tails and a
+  // row-split-only 3x1 grid.
   std::vector<CaseGeometry> g = {
       {97, 24, 0, 0},     // monolithic, odd rows, two gate words
       {149, 37, 0, 0},    // monolithic, odd + ragged third word
@@ -694,12 +694,14 @@ void make_case_input(const CaseSpec& c, std::uint64_t sample_id,
   }
 }
 
-std::unique_ptr<MacroLike> make_case_macro(const CaseSpec& c,
-                                           std::string_view backend_name) {
+std::unique_ptr<CimMacro> make_case_macro(const CaseSpec& c,
+                                          std::string_view backend_name) {
   CIMNAV_REQUIRE(c.geom.n_in > 0 && c.geom.n_out > 0,
                  "conformance case needs a positive geometry");
-  return make_macro(case_weights(c), c.geom.n_out, c.geom.n_in,
-                    case_config(c, backend_name), kInputScale);
+  return std::make_unique<CimMacro>(case_weights(c), c.geom.n_out,
+                                    c.geom.n_in,
+                                    case_config(c, backend_name),
+                                    kInputScale);
 }
 
 // -------------------------------------------------------------- running

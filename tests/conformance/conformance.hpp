@@ -1,7 +1,9 @@
 // Backend conformance harness (the ggml test-backend-ops pattern): a
 // table-driven sweep of randomized op cases that EVERY registered compute
-// backend — and every ShardedMacro grid configuration — must pass against
-// the "reference" kernel. Registering a new backend (AVX-512 VPOPCNTDQ,
+// backend — and every array-grid configuration — must pass against the
+// "reference" kernel. Test support, not library code: test_conformance
+// and bench_micro's timing sweep link it as the cimnav_conformance
+// target. Registering a new backend (AVX-512 VPOPCNTDQ,
 // CUDA, ...) is a pure register_backend call: the case table is built
 // from backend_names() at runtime, so the new kernel inherits the whole
 // suite (tests/conformance/) and the bench_micro timing sweep rows with
@@ -22,8 +24,8 @@
 // Check tiers:
 //
 //   bitwise      the ideal path must be bit-identical across backends
-//                (exact integer reduction), sharded grids bit-identical
-//                to the monolithic macro, and the deterministic
+//                (exact integer reduction), array grids bit-identical
+//                to the unbounded layer, and the deterministic
 //                ADC-only path bit-identical cross-backend on tie-free
 //                geometries (odd physical row counts — even row counts
 //                can land counts exactly on an ADC half-code boundary,
@@ -50,7 +52,7 @@
 #include <string_view>
 #include <vector>
 
-#include "cimsram/sharded_macro.hpp"
+#include "cimsram/cim_macro.hpp"
 
 namespace cimnav::cimsram::conformance {
 
@@ -82,8 +84,8 @@ enum class Dispatch {
 /// variable CIMNAV_CONFORMANCE_TIER=quick|full (default quick).
 enum class Tier { kQuick, kFull };
 
-/// Layer shape of a case. max_rows/max_cols are the make_macro physical
-/// bounds: 0/0 builds a monolithic CimMacro, otherwise a ShardedMacro
+/// Layer shape of a case. max_rows/max_cols are the CimMacroConfig
+/// physical bounds: 0/0 builds an unbounded layer, otherwise an array
 /// grid (max_rows a multiple of 64).
 struct CaseGeometry {
   int n_in = 0;
@@ -153,9 +155,9 @@ void make_case_input(const CaseSpec& c, std::uint64_t sample_id,
                      std::vector<std::uint8_t>& in_mask,
                      std::vector<std::uint8_t>& out_mask);
 
-/// Builds the case's macro (make_macro under the case geometry) with the
-/// given backend name ("reference" for the baseline side).
-std::unique_ptr<MacroLike> make_case_macro(const CaseSpec& c,
-                                           std::string_view backend_name);
+/// Builds the case's layer (under the case geometry) with the given
+/// backend name ("reference" for the baseline side).
+std::unique_ptr<CimMacro> make_case_macro(const CaseSpec& c,
+                                          std::string_view backend_name);
 
 }  // namespace cimnav::cimsram::conformance

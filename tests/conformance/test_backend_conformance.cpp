@@ -1,4 +1,4 @@
-// Backend conformance sweep (see src/cimsram/conformance.hpp and
+// Backend conformance sweep (see conformance.hpp next to this file and
 // docs/conformance.md). One gtest parameter per (backend x input family):
 // the parameter list is built from cimsram::backend_names() at static
 // init, so registering a new backend makes it inherit every family shard
@@ -21,7 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "cimsram/backend.hpp"
-#include "cimsram/conformance.hpp"
+#include "conformance/conformance.hpp"
 
 namespace conf = cimnav::cimsram::conformance;
 using cimnav::cimsram::BackendCaps;
@@ -137,14 +137,16 @@ TEST(ConformanceTable, ReproRoundTripsEveryCase) {
 class BrokenBitwiseBackend final : public ComputeBackend {
  public:
   std::string_view name() const override { return "broken_bitwise"; }
-  void run_columns(const MacroView& v, const std::uint64_t* planes,
+  void run_columns(const MacroView& v, const std::uint64_t* gated_add,
+                   const std::uint64_t* gated_rem,
+                   const std::int32_t* word_list, int n_words,
                    std::uint64_t active_rows, const std::uint8_t* out_mask,
-                   int col_begin, int col_end, bool ideal, cimnav::core::Rng* rng,
+                   bool ideal, cimnav::core::Rng* rng,
                    double* y) const override {
     cimnav::cimsram::backend("reference")
-        .run_columns(v, planes, active_rows, out_mask, col_begin, col_end,
-                     ideal, rng, y);
-    y[col_begin] += v.weight_scale * v.input_scale;
+        .run_columns(v, gated_add, gated_rem, word_list, n_words,
+                     active_rows, out_mask, ideal, rng, y);
+    y[0] += v.weight_scale * v.input_scale;
   }
 };
 
@@ -154,15 +156,17 @@ class BrokenBitwiseBackend final : public ComputeBackend {
 class BrokenNoiseBackend final : public ComputeBackend {
  public:
   std::string_view name() const override { return "broken_noise"; }
-  void run_columns(const MacroView& v, const std::uint64_t* planes,
+  void run_columns(const MacroView& v, const std::uint64_t* gated_add,
+                   const std::uint64_t* gated_rem,
+                   const std::int32_t* word_list, int n_words,
                    std::uint64_t active_rows, const std::uint8_t* out_mask,
-                   int col_begin, int col_end, bool ideal, cimnav::core::Rng* rng,
+                   bool ideal, cimnav::core::Rng* rng,
                    double* y) const override {
     MacroView loud = v;
     if (!ideal && v.analog_noise) loud.noise_coeff = v.noise_coeff * 1.8;
     cimnav::cimsram::backend("reference")
-        .run_columns(loud, planes, active_rows, out_mask, col_begin, col_end,
-                     ideal, rng, y);
+        .run_columns(loud, gated_add, gated_rem, word_list, n_words,
+                     active_rows, out_mask, ideal, rng, y);
   }
 };
 
@@ -173,25 +177,17 @@ class BrokenNoiseBackend final : public ComputeBackend {
 class BrokenDeltaBackend final : public ComputeBackend {
  public:
   std::string_view name() const override { return "broken_delta"; }
-  void run_columns(const MacroView& v, const std::uint64_t* planes,
+  void run_columns(const MacroView& v, const std::uint64_t* gated_add,
+                   const std::uint64_t* gated_rem,
+                   const std::int32_t* word_list, int n_words,
                    std::uint64_t active_rows, const std::uint8_t* out_mask,
-                   int col_begin, int col_end, bool ideal, cimnav::core::Rng* rng,
+                   bool ideal, cimnav::core::Rng* rng,
                    double* y) const override {
+    const bool delta = word_list != nullptr;
     cimnav::cimsram::backend("reference")
-        .run_columns(v, planes, active_rows, out_mask, col_begin, col_end,
-                     ideal, rng, y);
-  }
-  void run_columns_delta(const MacroView& v, const std::uint64_t* gated_add,
-                         const std::uint64_t* gated_rem,
-                         const std::int32_t* word_list, int n_words,
-                         std::uint64_t active_rows,
-                         const std::uint8_t* out_mask, int col_begin,
-                         int col_end, bool ideal, cimnav::core::Rng* rng,
-                         double* y) const override {
-    cimnav::cimsram::backend("reference")
-        .run_columns_delta(v, gated_add, gated_rem, word_list,
-                           n_words > 1 ? n_words - 1 : n_words, active_rows,
-                           out_mask, col_begin, col_end, ideal, rng, y);
+        .run_columns(v, gated_add, gated_rem, word_list,
+                     delta && n_words > 1 ? n_words - 1 : n_words,
+                     active_rows, out_mask, ideal, rng, y);
   }
 };
 

@@ -1,21 +1,19 @@
-// Unit tests for the SRAM-embedded RNG and the 8T CIM macro: gate packing,
-// the macro itself (parameterized over every registered compute backend),
-// and the sharded macro grid. Cross-backend and sharded-vs-monolithic
-// equivalence (bitwise + statistical) lives in the conformance harness —
-// tests/conformance/ sweeps every registered backend over randomized
-// geometry/input/noise/dispatch cases, so hand-written equivalence tests
-// do not belong here anymore.
+// Unit tests for the SRAM-embedded RNG and the 8T CIM layer: gate packing,
+// the layer itself (parameterized over every registered compute backend),
+// its array grid, and golden hashes of every read kind. Cross-backend and
+// grid-vs-unbounded equivalence (bitwise + statistical) lives in the
+// conformance harness — tests/conformance/ sweeps every registered backend
+// over randomized geometry/input/noise/dispatch cases, so hand-written
+// equivalence tests do not belong here anymore.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <string>
 
 #include "cimsram/backend.hpp"
 #include "cimsram/cim_macro.hpp"
-#include "cimsram/sharded_macro.hpp"
 #include "cimsram/sram_rng.hpp"
 #include "core/rng.hpp"
 #include "core/stat_tolerances.hpp"
@@ -380,7 +378,7 @@ TEST_P(CimMacroTest, RejectsBadArguments) {
 TEST_P(CimMacroTest, DeltaRejectsRowsPastTheLayer) {
   // A flip-list row past n_in still lands inside the last packed gate
   // word, so only an explicit row check keeps it from driving a phantom
-  // word line. Both rails, on a monolithic macro and on a shard grid.
+  // word line. Both rails, on an unbounded layer and on an array grid.
   CimMacroConfig cfg = base_config();
   std::vector<double> y;
   Rng rng(67);
@@ -396,9 +394,8 @@ TEST_P(CimMacroTest, DeltaRejectsRowsPastTheLayer) {
                std::invalid_argument);
 
   cfg.max_rows = 64;
-  const int n_in = 130;  // 3 row shards, the last one 2 rows wide
-  const ShardedMacro grid(std::vector<double>(n_in, 0.25), 1, n_in, cfg,
-                          1.0);
+  const int n_in = 130;  // 3 row blocks, the last one 2 rows wide
+  const CimMacro grid(std::vector<double>(n_in, 0.25), 1, n_in, cfg, 1.0);
   ASSERT_EQ(grid.grid_rows(), 3);
   grid.encode_input(std::vector<double>(n_in, 1.0), enc);
   const std::size_t past = static_cast<std::size_t>(n_in);
@@ -422,8 +419,9 @@ TEST_P(CimMacroTest, DeltaRejectsRowsPastTheLayer) {
 }
 
 TEST_P(CimMacroTest, DeltaRejectsEmptyFlipLists) {
-  // A delta read with no changed row is a caller bug: both macro kinds
-  // refuse it before drawing from the rng or touching the counters.
+  // A delta read with no changed row is a caller bug: unbounded layers
+  // and grids refuse it before drawing from the rng or touching the
+  // counters.
   CimMacroConfig cfg = base_config();
   std::vector<double> y;
   EncodedInput enc;
@@ -440,8 +438,7 @@ TEST_P(CimMacroTest, DeltaRejectsEmptyFlipLists) {
 
   cfg.max_rows = 64;
   const int n_in = 130;
-  const ShardedMacro grid(std::vector<double>(n_in, 0.25), 1, n_in, cfg,
-                          1.0);
+  const CimMacro grid(std::vector<double>(n_in, 0.25), 1, n_in, cfg, 1.0);
   grid.encode_input(std::vector<double>(n_in, 1.0), enc);
   EXPECT_THROW(grid.matvec_delta(enc, nullptr, 0, nullptr, 0, rng, y),
                std::invalid_argument);
@@ -459,7 +456,6 @@ TEST_P(CimMacroTest, GatedMatvecValidatesRowGateWidth) {
   cfg.input_bits = 4;
   cfg.weight_bits = 4;
   const CimMacro macro(w, n_out, n_in, cfg, 1.0 / 15.0);
-  ASSERT_EQ(macro.gate_words(), 2);
   Rng rng(79);
 
   EncodedInput enc;
@@ -501,7 +497,8 @@ std::uint32_t encoded_code(const EncodedInput& enc, int n_in, int input_bits,
 TEST(InputEncoder, SaturatesHugeAndNonFiniteInputs) {
   // The quantizer clamps before converting to an integer: huge values and
   // +inf take the top code, -inf and NaN take code 0, and in-range values
-  // keep their rounded code. Same encoder behind both macro kinds.
+  // keep their rounded code. Same encoder for an unbounded layer and a
+  // grid.
   const double inf = std::numeric_limits<double>::infinity();
   const std::vector<double> x = {1e12, inf,  -inf, std::nan(""),
                                  0.25, -3.0, 1.0,  10.0};
@@ -514,11 +511,10 @@ TEST(InputEncoder, SaturatesHugeAndNonFiniteInputs) {
   CimMacroConfig cfg;  // 6-bit inputs
   const CimMacro mono(w, 4, n_in, cfg, 1.0 / 63.0);
   cfg.max_cols = 2;
-  const ShardedMacro grid(w, 4, n_in, cfg, 1.0 / 63.0);
+  const CimMacro grid(w, 4, n_in, cfg, 1.0 / 63.0);
   ASSERT_EQ(grid.grid_cols(), 2);
 
-  for (const MacroLike* m : {static_cast<const MacroLike*>(&mono),
-                             static_cast<const MacroLike*>(&grid)}) {
+  for (const CimMacro* m : {&mono, &grid}) {
     EncodedInput enc;
     m->encode_input(x, enc);
     for (int i = 0; i < n_in; ++i)
@@ -582,22 +578,22 @@ TEST(BackendRegistry, KnownNamesResolveAndUnknownThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded macro grid (accounting + factory; equivalence is in conformance).
+// Array grid (accounting + validation; equivalence is in conformance).
 // ---------------------------------------------------------------------------
 
-TEST(ShardedMacro, StatsCountPerShardPhysicalOps) {
-  // A column crossing two row shards pays two ADC conversions per cycle;
-  // word lines split per shard array.
+TEST(ArrayGrid, StatsCountPerArrayPhysicalOps) {
+  // A column crossing two row blocks pays two ADC conversions per cycle;
+  // word lines split per array.
   const int n = 128;
   const auto w = random_weights(n, n, 231);
   CimMacroConfig mono_cfg;
   mono_cfg.input_bits = 4;
   mono_cfg.weight_bits = 4;
-  CimMacroConfig shard_cfg = mono_cfg;
-  shard_cfg.max_rows = 64;
-  shard_cfg.max_cols = 64;
+  CimMacroConfig grid_cfg = mono_cfg;
+  grid_cfg.max_rows = 64;
+  grid_cfg.max_cols = 64;
   const CimMacro mono(w, n, n, mono_cfg, 1.0 / 15.0);
-  const ShardedMacro grid(w, n, n, shard_cfg, 1.0 / 15.0);
+  const CimMacro grid(w, n, n, grid_cfg, 1.0 / 15.0);
   const auto x = random_input(n, 233);
   Rng r1(7), r2(7);
   mono.matvec(x, {}, {}, r1);
@@ -616,29 +612,31 @@ TEST(ShardedMacro, StatsCountPerShardPhysicalOps) {
   EXPECT_EQ(delta.adc_conversions, ms.adc_conversions);
 }
 
-TEST(ShardedMacro, FactoryAndValidation) {
+TEST(ArrayGrid, BoundsShapeTheGridAndAreValidated) {
   const auto w = random_weights(70, 128, 241);
   CimMacroConfig cfg;
   cfg.max_rows = 64;
   cfg.max_cols = 64;
-  const auto sharded = make_macro(w, 70, 128, cfg, 1.0 / 63.0);
-  EXPECT_NE(dynamic_cast<const ShardedMacro*>(sharded.get()), nullptr);
+  const CimMacro grid(w, 70, 128, cfg, 1.0 / 63.0);
+  EXPECT_EQ(grid.grid_rows(), 2);
+  EXPECT_EQ(grid.grid_cols(), 2);
 
   CimMacroConfig fits;
   fits.max_rows = 128;
   fits.max_cols = 128;
-  const auto mono = make_macro(w, 70, 128, fits, 1.0 / 63.0);
-  EXPECT_NE(dynamic_cast<const CimMacro*>(mono.get()), nullptr);
+  const CimMacro one(w, 70, 128, fits, 1.0 / 63.0);
+  EXPECT_EQ(one.grid_rows(), 1);
+  EXPECT_EQ(one.grid_cols(), 1);
 
   CimMacroConfig unaligned;
   unaligned.max_rows = 100;  // not a multiple of 64
   unaligned.max_cols = 64;
-  EXPECT_THROW(ShardedMacro(w, 70, 128, unaligned, 1.0 / 63.0),
+  EXPECT_THROW(CimMacro(w, 70, 128, unaligned, 1.0 / 63.0),
                std::invalid_argument);
 
-  // CimMacro's ranges hold for a grid too, checked before its shared
-  // weight grid shifts by weight_bits (0: a negative shift) and divides
-  // by the magnitude range (1: a zero divisor).
+  // The bit-width ranges are checked before the shared weight grid
+  // shifts by weight_bits (0: a negative shift) and divides by the
+  // magnitude range (1: a zero divisor).
   const auto bad_cfg = [&](int input_bits, int weight_bits, int adc_bits) {
     CimMacroConfig bad = cfg;
     bad.input_bits = input_bits;
@@ -650,10 +648,124 @@ TEST(ShardedMacro, FactoryAndValidation) {
        {bad_cfg(6, 0, 6), bad_cfg(6, 1, 6), bad_cfg(6, 13, 6),
         bad_cfg(0, 6, 6), bad_cfg(13, 6, 6), bad_cfg(6, 6, 0),
         bad_cfg(6, 6, 17)})
-    EXPECT_THROW(make_macro(w, 70, 128, bad, 1.0 / 63.0),
+    EXPECT_THROW(CimMacro(w, 70, 128, bad, 1.0 / 63.0),
                  std::invalid_argument)
         << bad.input_bits << "/" << bad.weight_bits << "/" << bad.adc_bits;
-  EXPECT_THROW(make_macro(w, 70, 128, cfg, 0.0), std::invalid_argument);
+  EXPECT_THROW(CimMacro(w, 70, 128, cfg, 0.0), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Golden read hashes: every read kind of a layer, bit for bit, on one
+// unbounded layer and one ragged 2x2 array grid.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over the eight bytes of `v`.
+void fnv_fold(std::uint64_t& h, std::uint64_t v) {
+  for (int b = 0; b < 64; b += 8) {
+    h ^= (v >> b) & 0xffu;
+    h *= 1099511628211ull;
+  }
+}
+
+void fnv_fold(std::uint64_t& h, const std::vector<double>& y) {
+  for (double v : y) fnv_fold(h, std::bit_cast<std::uint64_t>(v));
+}
+
+std::vector<std::uint8_t> random_mask(int n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> m(static_cast<std::size_t>(n));
+  for (auto& b : m) b = rng.uniform() < 0.6 ? 1 : 0;
+  return m;
+}
+
+/// Hash over a 70 x 100 layer's reads with backend `be`: ideal matvec
+/// reads, then under an ADC-only and a noisy config the matvec,
+/// matvec_encoded and three delta reads (add-only inside the first row
+/// block, remove-only, two-sided) per sample, each sample's next rng draw,
+/// and every config's activity counters.
+std::uint64_t layer_read_hash(const std::string& be, int max_rows,
+                              int max_cols) {
+  const int n_out = 70, n_in = 100;
+  const auto w = random_weights(n_out, n_in, 301);
+  const std::size_t add_only[] = {3, 40};
+  const std::size_t rem_only[] = {64, 99};
+  const std::size_t two_add[] = {1, 70};
+  const std::size_t two_rem[] = {2, 63, 95};
+  std::uint64_t h = 14695981039346656037ull;
+  for (int mode = 0; mode < 3; ++mode) {
+    CimMacroConfig cfg;
+    cfg.backend = be;
+    cfg.max_rows = max_rows;
+    cfg.max_cols = max_cols;
+    if (mode == 1) {
+      cfg.analog_noise = false;
+      cfg.adc_bits = 5;
+    } else if (mode == 2) {
+      cfg.noise_coeff = 0.3;
+    }
+    const CimMacro layer(w, n_out, n_in, cfg, 1.0 / 63.0);
+    for (std::uint64_t s = 0; s < 3; ++s) {
+      auto x = random_input(n_in, 310 + s);
+      x[static_cast<std::size_t>(s)] = 1.5;  // past the top code
+      const std::vector<std::uint8_t> in_mask =
+          s == 0 ? std::vector<std::uint8_t>{} : random_mask(n_in, 320 + s);
+      const std::vector<std::uint8_t> out_mask =
+          s == 1 ? std::vector<std::uint8_t>{} : random_mask(n_out, 330 + s);
+      if (mode == 0) {
+        fnv_fold(h, layer.matvec_ideal(x, in_mask, out_mask));
+        continue;
+      }
+      Rng rng(340 + s);
+      fnv_fold(h, layer.matvec(x, in_mask, out_mask, rng));
+      EncodedInput enc;
+      layer.encode_input(x, enc);
+      std::vector<std::uint64_t> gate;
+      pack_row_mask(in_mask, n_in, gate);
+      std::vector<double> y;
+      layer.matvec_encoded(enc, gate, out_mask, rng, y);
+      fnv_fold(h, y);
+      layer.matvec_delta(enc, add_only, 2, nullptr, 0, rng, y);
+      fnv_fold(h, y);
+      layer.matvec_delta(enc, nullptr, 0, rem_only, 2, rng, y);
+      fnv_fold(h, y);
+      layer.matvec_delta(enc, two_add, 2, two_rem, 3, rng, y);
+      fnv_fold(h, y);
+      fnv_fold(h, rng());
+    }
+    const MacroStats st = layer.stats();
+    for (std::uint64_t v : {st.matvec_calls, st.wordline_pulses,
+                            st.wordline_col_drives, st.adc_conversions,
+                            st.analog_cycles, st.nominal_macs})
+      fnv_fold(h, v);
+  }
+  return h;
+}
+
+// Pinned on x86-64 from the layer code that kept the monolithic macro and
+// the array grid as two classes. Portable and -march=native (FMA) builds
+// read the same values. The bitsliced noisy reads pin the AVX2 body:
+// hosts without AVX2+FMA skip that test.
+constexpr std::uint64_t kGoldenReferenceUnbounded = 0xdded47b9812624c4ull;
+constexpr std::uint64_t kGoldenReferenceGrid = 0x601b93a0cc941c2cull;
+constexpr std::uint64_t kGoldenBitslicedUnbounded = 0x697fa6f3594e7640ull;
+constexpr std::uint64_t kGoldenBitslicedGrid = 0xf92a3dbc5d17f787ull;
+
+TEST(CimMacroGolden, ReferenceReadsMatchPinnedHashes) {
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "golden hashes are pinned for x86-64 only";
+#endif
+  EXPECT_EQ(layer_read_hash("reference", 0, 0), kGoldenReferenceUnbounded);
+  EXPECT_EQ(layer_read_hash("reference", 64, 48), kGoldenReferenceGrid);
+}
+
+TEST(CimMacroGolden, BitslicedReadsMatchPinnedHashes) {
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "golden hashes are pinned for x86-64 only";
+#endif
+  if (!backend("bitsliced").caps().vectorized)
+    GTEST_SKIP() << "bitsliced noisy reads are pinned for the AVX2 body";
+  EXPECT_EQ(layer_read_hash("bitsliced", 0, 0), kGoldenBitslicedUnbounded);
+  EXPECT_EQ(layer_read_hash("bitsliced", 64, 48), kGoldenBitslicedGrid);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "cimsram/cim_macro.hpp"
-#include "cimsram/sharded_macro.hpp"
 #include "core/rng.hpp"
 #include "energy/likelihood_energy.hpp"
 #include "energy/macro_energy.hpp"
@@ -190,15 +189,15 @@ TEST(MacroEnergy, ShardedGridMeasuresCheaperWordlinesThanFlatPricing) {
   cimsram::CimMacroConfig shard_cfg = mono_cfg;
   shard_cfg.max_rows = 64;
   shard_cfg.max_cols = 64;
-  const auto mono = cimsram::make_macro(w, n, n, mono_cfg, 1.0 / 15.0);
-  const auto grid = cimsram::make_macro(w, n, n, shard_cfg, 1.0 / 15.0);
+  const cimsram::CimMacro mono(w, n, n, mono_cfg, 1.0 / 15.0);
+  const cimsram::CimMacro grid(w, n, n, shard_cfg, 1.0 / 15.0);
   std::vector<double> x(static_cast<std::size_t>(n));
   for (auto& v : x) v = rng.uniform();
   core::Rng arng(78);
-  mono->matvec(x, {}, {}, arng);
-  grid->matvec(x, {}, {}, arng);
-  const auto ms = mono->stats();
-  const auto gs = grid->stats();
+  mono.matvec(x, {}, {}, arng);
+  grid.matvec(x, {}, {}, arng);
+  const auto ms = mono.stats();
+  const auto gs = grid.stats();
   EXPECT_EQ(gs.wordline_pulses, 2u * ms.wordline_pulses);
   EXPECT_EQ(gs.wordline_col_drives, ms.wordline_col_drives);
 }

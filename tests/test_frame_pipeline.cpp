@@ -82,7 +82,7 @@ std::vector<nn::Vector> dense_oracle(
       rows = &set[site++];
     }
     for (int l = 0; l < cim.layer_count(); ++l) {
-      const cimsram::MacroLike& macro = cim.macro(l);
+      const cimsram::CimMacro& macro = cim.macro(l);
       const bool hidden = l + 1 < cim.layer_count();
       const nn::Mask& cols = hidden ? set[site] : none;
       cimsram::EncodedInput enc;

@@ -42,10 +42,28 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
+// The nothrow variants must be replaced too: libstdc++'s temporary
+// buffers (std::stable_sort) allocate through them, and a mix of default
+// nothrow-new with this TU's free()-based delete is an ASan
+// alloc-dealloc mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  if (g_count_heap.load(std::memory_order_relaxed))
+    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& t) noexcept {
+  return ::operator new(size, t);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace cimnav {
 namespace {
@@ -282,13 +300,24 @@ TEST(SoaBitIdentity, UpdateAndResampleMatchAosSeedAtAnyThreadCount) {
 
 // ------------------------------------------------------- resample_to edges
 
+/// Copy of the cloud's poses (the SoA view moves when the cloud resamples).
+std::vector<core::Pose> cloud_poses(const filter::ParticleFilter& pf) {
+  const filter::SoaView soa = pf.soa();
+  std::vector<core::Pose> poses(soa.count);
+  for (std::size_t i = 0; i < soa.count; ++i) {
+    poses[i].position = {soa.x[i], soa.y[i], soa.z[i]};
+    poses[i].yaw = soa.yaw[i];
+  }
+  return poses;
+}
+
 TEST(ResampleTo, EqualWeightsPreserveTheCloud) {
   filter::ParticleFilterConfig cfg;
   cfg.particle_count = 100;
   filter::ParticleFilter pf(cfg);
   Rng rng(7);
   pf.init_gaussian({{1.0, 1.0, 1.0}, 0.0}, {0.3, 0.3, 0.2}, 0.2, rng);
-  const std::vector<filter::Particle> before = pf.particles();
+  const std::vector<core::Pose> before = cloud_poses(pf);
 
   pf.resample_to(pf.size(), rng);
   const auto soa = pf.soa();
@@ -296,8 +325,8 @@ TEST(ResampleTo, EqualWeightsPreserveTheCloud) {
   // Systematic resampling of a uniform cloud maps every evenly spaced
   // pointer into its own bin: the identity gather.
   for (std::size_t i = 0; i < soa.count; ++i) {
-    EXPECT_EQ(soa.x[i], before[i].pose.position.x);
-    EXPECT_EQ(soa.yaw[i], before[i].pose.yaw);
+    EXPECT_EQ(soa.x[i], before[i].position.x);
+    EXPECT_EQ(soa.yaw[i], before[i].yaw);
     EXPECT_EQ(soa.log_weight[i], 0.0);
   }
 }
@@ -309,7 +338,7 @@ TEST(ResampleTo, OneHotWeightsCollapseToTheWinner) {
   Rng rng(11);
   pf.init_gaussian({{0.5, 0.5, 0.5}, 0.0}, {0.2, 0.2, 0.1}, 0.1, rng);
   const std::size_t winner = 17;
-  const core::Pose winner_pose = pf.particles()[winner].pose;
+  const core::Pose winner_pose = cloud_poses(pf)[winner];
   {
     const auto soa = pf.mutable_soa();
     for (std::size_t i = 0; i < soa.count; ++i)
@@ -332,7 +361,7 @@ TEST(ResampleTo, ShrinkToOneKeepsAnAncestor) {
   filter::ParticleFilter pf(cfg);
   Rng rng(13);
   pf.init_gaussian({{0.4, 0.4, 0.4}, 0.0}, {0.2, 0.2, 0.1}, 0.1, rng);
-  const std::vector<filter::Particle> before = pf.particles();
+  const std::vector<core::Pose> before = cloud_poses(pf);
   const auto stats_before = pf.memory_stats();
 
   pf.resample_to(1, rng);
@@ -340,9 +369,8 @@ TEST(ResampleTo, ShrinkToOneKeepsAnAncestor) {
   const auto soa = pf.soa();
   const bool is_ancestor =
       std::any_of(before.begin(), before.end(), [&](const auto& p) {
-        return p.pose.position.x == soa.x[0] &&
-               p.pose.position.y == soa.y[0] &&
-               p.pose.position.z == soa.z[0] && p.pose.yaw == soa.yaw[0];
+        return p.position.x == soa.x[0] && p.position.y == soa.y[0] &&
+               p.position.z == soa.z[0] && p.yaw == soa.yaw[0];
       });
   EXPECT_TRUE(is_ancestor);
   EXPECT_EQ(soa.log_weight[0], 0.0);
@@ -357,7 +385,7 @@ TEST(ResampleTo, GrowingPastCapacityReslabsOnceThenStaysFlat) {
   filter::ParticleFilter pf(cfg);
   Rng rng(17);
   pf.init_gaussian({{0.6, 0.6, 0.6}, 0.0}, {0.3, 0.3, 0.2}, 0.1, rng);
-  const std::vector<filter::Particle> before = pf.particles();
+  const std::vector<core::Pose> before = cloud_poses(pf);
   const auto stats_before = pf.memory_stats();
   ASSERT_LT(stats_before.particle_capacity, 500u);
 
@@ -371,7 +399,7 @@ TEST(ResampleTo, GrowingPastCapacityReslabsOnceThenStaysFlat) {
   for (std::size_t i = 0; i < soa.count; i += 97) {
     const bool is_ancestor =
         std::any_of(before.begin(), before.end(), [&](const auto& p) {
-          return p.pose.position.x == soa.x[i] && p.pose.yaw == soa.yaw[i];
+          return p.position.x == soa.x[i] && p.yaw == soa.yaw[i];
         });
     EXPECT_TRUE(is_ancestor) << "i=" << i;
     EXPECT_EQ(soa.log_weight[i], 0.0);

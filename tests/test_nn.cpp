@@ -560,7 +560,7 @@ TEST(CimMlpInputDropout, ReuseEquivalenceWithInputSite) {
 }
 
 TEST(CimMlpSharded, ShardedLayersMatchMonolithicNoiseFree) {
-  // A network whose first layer exceeds 64x64 runs on a ShardedMacro grid
+  // A network whose first layer exceeds 64x64 runs on an array grid
   // behind the same CimMlp code path. With analog noise off and a
   // lossless ADC the only difference is the per-shard ADC range, so the
   // two executions must agree tightly (and reuse must still hold).
@@ -588,10 +588,10 @@ TEST(CimMlpSharded, ShardedLayersMatchMonolithicNoiseFree) {
   const CimMlp cim_mono(net, mono, calib, c1);
   const CimMlp cim_shard(net, sharded, calib, c2);
   // Layer 0 is 72x80 -> a shard grid; layer 1 (3x72) splits row-wise too.
-  EXPECT_NE(dynamic_cast<const cimsram::ShardedMacro*>(&cim_shard.macro(0)),
-            nullptr);
-  EXPECT_NE(dynamic_cast<const cimsram::CimMacro*>(&cim_mono.macro(0)),
-            nullptr);
+  EXPECT_EQ(cim_shard.macro(0).grid_rows(), 2);
+  EXPECT_EQ(cim_shard.macro(0).grid_cols(), 2);
+  EXPECT_EQ(cim_mono.macro(0).grid_rows(), 1);
+  EXPECT_EQ(cim_mono.macro(0).grid_cols(), 1);
 
   Rng mrng(131);
   std::vector<std::vector<Mask>> sets;

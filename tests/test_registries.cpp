@@ -47,8 +47,9 @@ class StubBackend final : public cimsram::ComputeBackend {
   explicit StubBackend(std::string name) : name_(std::move(name)) {}
   std::string_view name() const override { return name_; }
   void run_columns(const cimsram::MacroView&, const std::uint64_t*,
-                   std::uint64_t, const std::uint8_t*, int, int, bool,
-                   core::Rng*, double*) const override {}
+                   const std::uint64_t*, const std::int32_t*, int,
+                   std::uint64_t, const std::uint8_t*, bool, core::Rng*,
+                   double*) const override {}
 
  private:
   std::string name_;

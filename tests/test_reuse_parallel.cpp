@@ -4,7 +4,7 @@
 // bit-identical to the serial per-frame mc_predict_cim loop across
 // pool sizes {1, 2, 8} x window sizes {1, 3, 16} x session counts
 // {1, 4, 8} — up to 16 frames x 3 chains x 8 sessions of work items —
-// on monolithic and sharded (ShardedMacro::matvec_delta) reuse loci,
+// on unbounded and array-grid (multi-array matvec_delta) reuse loci,
 // and the warmed pooled reuse path must run without touching the heap
 // (operator-new spy in this TU).
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "bnn/mask_source.hpp"
 #include "bnn/mc_dropout.hpp"
 #include "cimsram/cim_macro.hpp"
-#include "cimsram/sharded_macro.hpp"
 #include "core/rng.hpp"
 #include "core/thread_pool.hpp"
 #include "nn/cim_mlp.hpp"
@@ -202,9 +201,9 @@ TEST_F(ReuseParallelFixture, JobsBitIdenticalAcrossSessionCounts) {
 
 TEST_F(ReuseParallelFixture, ShardedLocusBitIdenticalAcrossPoolsAndWindows) {
   // A net whose reuse locus (layer 1, 80 x 96) spans a 2 x 2 grid of
-  // 64 x 64 arrays, so every delta step runs ShardedMacro::matvec_delta
-  // (per-shard noise streams, dark row shards skipped) inside the pooled
-  // chain dispatch.
+  // 64 x 64 arrays, so every delta step runs a grid delta read (per-array
+  // noise streams, dark row blocks skipped) inside the pooled chain
+  // dispatch.
   Rng nrng(29);
   nn::MlpConfig cfg;
   cfg.layer_sizes = {4, 96, 80, 2};
@@ -216,8 +215,8 @@ TEST_F(ReuseParallelFixture, ShardedLocusBitIdenticalAcrossPoolsAndWindows) {
   mc.max_rows = 64;
   mc.max_cols = 64;
   const nn::CimMlp cim(net, mc, calib, nrng);
-  ASSERT_NE(dynamic_cast<const cimsram::ShardedMacro*>(&cim.macro(1)),
-            nullptr);
+  ASSERT_EQ(cim.macro(1).grid_rows(), 2);
+  ASSERT_EQ(cim.macro(1).grid_cols(), 2);
 
   for (const int threads : {1, 2, 8}) {
     ThreadPool pool(threads);

@@ -324,7 +324,9 @@ TEST(ParticleFilterThreading, UpdateBitExactAcrossThreadCounts) {
     pf.init_uniform({0, 0, 0}, {3, 3, 2}, rng);
     vision::DepthScan scan;
     pf.update(scan, model, rng, pool);
-    return pf.particles();
+    const filter::SoaView cloud = pf.soa();
+    return std::vector<double>(cloud.log_weight,
+                               cloud.log_weight + cloud.count);
   };
   ThreadPool p2(2), p8(8);
   const auto serial = run(nullptr);
@@ -332,8 +334,8 @@ TEST(ParticleFilterThreading, UpdateBitExactAcrossThreadCounts) {
   const auto eight = run(&p8);
   ASSERT_EQ(serial.size(), two.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].log_weight, two[i].log_weight);
-    EXPECT_EQ(serial[i].log_weight, eight[i].log_weight);
+    EXPECT_EQ(serial[i], two[i]);
+    EXPECT_EQ(serial[i], eight[i]);
   }
 }
 
