@@ -23,13 +23,12 @@
 // particle cost per session, and the savings fraction is tracked.
 //
 // The steady-state allocation probe re-runs admit -> run -> retire
-// cycles on a warmed engine with a counting operator new (this binary's
-// TU replaces it program-wide) and requires zero allocations.
+// cycles on a warmed engine with the counting operator new of
+// tests/support/heap_spy (linked into this binary) and requires zero
+// allocations.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -38,49 +37,9 @@
 #include "core/thread_pool.hpp"
 #include "filter/scenario.hpp"
 #include "fleet/fleet_engine.hpp"
+#include "support/heap_spy.hpp"
 #include "vo/closed_loop.hpp"
 #include "vo/pipeline.hpp"
-
-// ------------------------------------------------------------- heap spy
-namespace {
-
-std::atomic<bool> g_count_heap{false};
-std::atomic<std::uint64_t> g_heap_allocs{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_count_heap.load(std::memory_order_relaxed))
-    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-// Nothrow variants as well — libstdc++ temporary buffers allocate via
-// nothrow new, and mixing the default one with this TU's free()-based
-// delete is an alloc-dealloc mismatch under ASan.
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  if (g_count_heap.load(std::memory_order_relaxed))
-    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-void* operator new[](std::size_t size, const std::nothrow_t& t) noexcept {
-  return ::operator new(size, t);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -466,11 +425,9 @@ int main() {
       pengine.run_until_idle();
     };
     for (int i = 0; i < 3; ++i) cycle();
-    g_heap_allocs.store(0, std::memory_order_relaxed);
-    g_count_heap.store(true, std::memory_order_relaxed);
-    for (int i = 0; i < 3; ++i) cycle();
-    g_count_heap.store(false, std::memory_order_relaxed);
-    const auto allocs = g_heap_allocs.load(std::memory_order_relaxed);
+    const auto allocs = heap_spy::allocations_during([&] {
+      for (int i = 0; i < 3; ++i) cycle();
+    });
     std::printf("steady-state admit->run->retire heap allocations: %llu "
                 "(gate: 0)\n",
                 static_cast<unsigned long long>(allocs));
@@ -483,11 +440,9 @@ int main() {
     spec.loop.mc.compute_reuse = true;
     spec.loop.mc.order_samples = true;
     for (int i = 0; i < 3; ++i) cycle();
-    g_heap_allocs.store(0, std::memory_order_relaxed);
-    g_count_heap.store(true, std::memory_order_relaxed);
-    for (int i = 0; i < 3; ++i) cycle();
-    g_count_heap.store(false, std::memory_order_relaxed);
-    const auto reuse_allocs = g_heap_allocs.load(std::memory_order_relaxed);
+    const auto reuse_allocs = heap_spy::allocations_during([&] {
+      for (int i = 0; i < 3; ++i) cycle();
+    });
     std::printf("steady-state reuse-path heap allocations: %llu "
                 "(gate: 0)\n\n",
                 static_cast<unsigned long long>(reuse_allocs));

@@ -42,8 +42,9 @@ TRACKED = {
         "particle_filter_100k_resample_speedup_vs_aos": "higher",
         "particle_filter_100k_cycle_speedup_vs_aos": "higher",
         # PR acceptance flags: cycle speedup >= 1.2x, and the steady-state
-        # update+resample cycle performs zero heap allocations (measured
-        # on the filter's arena/pool counters). Exact-match gated.
+        # update+resample cycle performs zero heap allocations (counted
+        # by the global operator-new spy, tests/support/heap_spy).
+        # Exact-match gated.
         "particle_filter_100k_speedup_criterion_met": "stable",
         "particle_filter_100k_zero_alloc_cycle": "stable",
         # Conformance sweep embedded in bench_micro (quick tier): every

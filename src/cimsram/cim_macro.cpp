@@ -119,7 +119,12 @@ CimMacro::CimMacro(const std::vector<double>& weights, int n_out, int n_in,
   // so their partial sums share one integer lattice.
   const int mag_max = (1 << (config.weight_bits - 1)) - 1;
   double w_max = 0.0;
-  for (double w : weights) w_max = std::max(w_max, std::abs(w));
+  for (double w : weights) {
+    // An infinite weight would make the scale infinite (every other
+    // weight quantizing to 0); a NaN one would slip past std::max.
+    CIMNAV_REQUIRE(std::isfinite(w), "weights must be finite");
+    w_max = std::max(w_max, std::abs(w));
+  }
   weight_scale_ = w_max > 0.0 ? w_max / static_cast<double>(mag_max) : 1.0;
 
   words_ = (n_in + 63) / 64;

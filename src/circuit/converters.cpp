@@ -79,8 +79,4 @@ double LogAdc::decode_log(std::uint32_t code) const {
                         static_cast<double>(levels_ - 1);
 }
 
-double LogAdc::decode_current(std::uint32_t code) const {
-  return std::exp(decode_log(code));
-}
-
 }  // namespace cimnav::circuit

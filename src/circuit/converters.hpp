@@ -75,9 +75,6 @@ class LogAdc {
   /// Natural log of the reconstructed current for a code.
   double decode_log(std::uint32_t code) const;
 
-  /// Reconstructed current [A].
-  double decode_current(std::uint32_t code) const;
-
   /// encode + decode_log in one step: the digital log-current reading.
   double read_log(double i_a) const { return decode_log(encode(i_a)); }
 

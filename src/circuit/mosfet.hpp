@@ -39,7 +39,6 @@ class Mosfet {
 
   /// Programs the floating-gate threshold shift in volts.
   void set_delta_vt(double delta_vt_v) { delta_vt_v_ = delta_vt_v; }
-  double delta_vt() const { return delta_vt_v_; }
 
   /// Design-time W/L re-sizing (amplitude knob). Requires f > 0.
   void set_size_factor(double f);

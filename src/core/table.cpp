@@ -1,6 +1,5 @@
 #include "core/table.hpp"
 
-#include <fstream>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -83,12 +82,6 @@ void Table::print_csv(std::ostream& os) const {
       os << csv_escape(format_cell(row[c])) << (c + 1 < row.size() ? "," : "");
     os << '\n';
   }
-}
-
-void Table::write_csv(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) throw std::runtime_error("cannot open for writing: " + path);
-  print_csv(f);
 }
 
 }  // namespace cimnav::core

@@ -34,8 +34,6 @@ class Table {
   /// Emits RFC-4180-ish CSV (quotes only when needed).
   void print_csv(std::ostream& os) const;
 
-  /// Convenience: writes CSV to a file path; throws on I/O failure.
-  void write_csv(const std::string& path) const;
 
  private:
   std::string format_cell(const Cell& c) const;

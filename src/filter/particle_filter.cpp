@@ -28,52 +28,11 @@ ParticleFilter::ParticleFilter(const ParticleFilterConfig& config)
 }
 
 void ParticleFilter::ensure_capacity(std::size_t cap) {
-  if (cap <= capacity_) return;
-  // Geometric growth so repeated KLD-driven grow steps amortize; each
-  // growth is a counted warm-up allocation (memory_stats).
-  const std::size_t target = std::max(cap, capacity_ * 2);
-  // Pad to whole cache lines of doubles so the four arrays of a pose
-  // block are each line-aligned.
-  const std::size_t padded = (target + 7) & ~static_cast<std::size_t>(7);
-
-  core::Arena arena(3 * padded * sizeof(double) +
-                    padded * sizeof(std::uint32_t));
-  double* logw = arena.carve_array<double>(padded);
-  double* weights = arena.carve_array<double>(padded);
-  double* deltas = arena.carve_array<double>(padded);
-  auto* idx = arena.carve_array<std::uint32_t>(padded);
-
-  core::BufferPool pool(4 * padded * sizeof(double), 2);
-  void* front = pool.acquire();
-  auto* x = static_cast<double*>(front);
-  double* y = x + padded;
-  double* z = y + padded;
-  double* yaw = z + padded;
-
-  for (std::size_t i = 0; i < count_; ++i) {
-    x[i] = x_[i];
-    y[i] = y_[i];
-    z[i] = z_[i];
-    yaw[i] = yaw_[i];
-    logw[i] = logw_[i];
-    weights[i] = weights_[i];
-  }
-
-  retired_heap_allocations_ += arena_.stats().slab_allocations +
-                               pose_pool_.stats().slab_allocations;
-  arena_ = std::move(arena);
-  pose_pool_ = std::move(pool);
-  front_ = front;
-  x_ = x;
-  y_ = y;
-  z_ = z;
-  yaw_ = yaw;
-  logw_ = logw;
-  weights_ = weights;
-  deltas_ = deltas;
-  idx_ = idx;
-  capacity_ = target;
-  padded_ = padded;
+  if (cap <= x_.size()) return;
+  for (auto* v : {&x_, &y_, &z_, &yaw_, &gx_, &gy_, &gz_, &gyaw_, &logw_,
+                  &weights_, &deltas_})
+    v->resize(cap);
+  idx_.resize(cap);
 }
 
 void ParticleFilter::init_uniform(const core::Vec3& lo, const core::Vec3& hi,
@@ -134,9 +93,9 @@ void ParticleFilter::update(const vision::DepthScan& scan,
                             core::ThreadPool* pool) {
   CIMNAV_REQUIRE(count_ > 0, "filter not initialized");
   const std::uint64_t noise_root = rng();
-  model.log_likelihoods({x_, y_, z_, yaw_, 1}, count_, scan, noise_root,
-                        deltas_, pool);
-  apply_log_likelihoods(deltas_, rng, pool);
+  model.log_likelihoods({x_.data(), y_.data(), z_.data(), yaw_.data(), 1},
+                        count_, scan, noise_root, deltas_.data(), pool);
+  apply_log_likelihoods(deltas_.data(), rng, pool);
 }
 
 std::size_t ParticleFilter::decimation_stride(double particle_fraction) {
@@ -163,8 +122,9 @@ void ParticleFilter::update_decimated(const vision::DepthScan& scan,
   // update, blocks of MeasurementModel::kPoseBlock *representatives*).
   const std::size_t n_reps = (count_ + stride - 1) / stride;
   const std::uint64_t noise_root = rng();
-  model.log_likelihoods({x_, y_, z_, yaw_, stride}, n_reps, scan, noise_root,
-                        deltas_, pool);
+  model.log_likelihoods(
+      {x_.data(), y_.data(), z_.data(), yaw_.data(), stride}, n_reps, scan,
+      noise_root, deltas_.data(), pool);
   // Every particle of a stride block shares its representative's
   // log-likelihood — a coarse likelihood field that is spatially
   // coherent after systematic resampling (contiguous indices are
@@ -172,7 +132,7 @@ void ParticleFilter::update_decimated(const vision::DepthScan& scan,
   // rep entries at the front of deltas_ are read before being
   // overwritten.
   for (std::size_t i = count_; i-- > 0;) deltas_[i] = deltas_[i / stride];
-  apply_log_likelihoods(deltas_, rng, pool);
+  apply_log_likelihoods(deltas_.data(), rng, pool);
 }
 
 double ParticleFilter::tempered_ess(const double* deltas,
@@ -278,7 +238,7 @@ void ParticleFilter::fill_normalized_weights(core::ThreadPool* pool) const {
     const double* logw;
     double* w;
     double shift;
-  } ctx{logw_, weights_, m};
+  } ctx{logw_.data(), weights_.data(), m};
   const auto exp_shift = [&ctx](std::size_t begin, std::size_t end, int) {
     for (std::size_t i = begin; i < end; ++i)
       ctx.w[i] = std::exp(ctx.logw[i] - ctx.shift);
@@ -341,10 +301,9 @@ void ParticleFilter::resample_to(std::size_t n, core::Rng& rng,
     idx_[i] = static_cast<std::uint32_t>(idx);
     u += step;
   }
-  // Double-buffered gather: ancestors stream from the front pose block
-  // into the pool's spare block (element-wise, pool-fanned), then the
-  // blocks swap roles. No AoS staging vector, no allocation.
-  void* back = pose_pool_.acquire();
+  // Double-buffered gather: ancestors stream from the pose arrays into
+  // their twins (element-wise, pool-fanned), then each pair swaps. No
+  // AoS staging vector, no allocation.
   struct Ctx {
     const double* sx;
     const double* sy;
@@ -355,15 +314,8 @@ void ParticleFilter::resample_to(std::size_t n, core::Rng& rng,
     double* dz;
     double* dyaw;
     const std::uint32_t* idx;
-  } ctx{x_,
-        y_,
-        z_,
-        yaw_,
-        static_cast<double*>(back),
-        static_cast<double*>(back) + padded_,
-        static_cast<double*>(back) + 2 * padded_,
-        static_cast<double*>(back) + 3 * padded_,
-        idx_};
+  } ctx{x_.data(),  y_.data(),  z_.data(),  yaw_.data(), gx_.data(),
+        gy_.data(), gz_.data(), gyaw_.data(), idx_.data()};
   const auto gather = [&ctx](std::size_t begin, std::size_t end, int) {
     for (std::size_t i = begin; i < end; ++i) {
       const std::size_t a = ctx.idx[i];
@@ -378,14 +330,12 @@ void ParticleFilter::resample_to(std::size_t n, core::Rng& rng,
   } else {
     gather(0, n, 0);
   }
-  pose_pool_.release(front_);
-  front_ = back;
-  x_ = ctx.dx;
-  y_ = ctx.dy;
-  z_ = ctx.dz;
-  yaw_ = ctx.dyaw;
+  x_.swap(gx_);
+  y_.swap(gy_);
+  z_.swap(gz_);
+  yaw_.swap(gyaw_);
   count_ = n;
-  for (std::size_t i = 0; i < n; ++i) logw_[i] = 0.0;
+  std::fill_n(logw_.begin(), n, 0.0);
   weights_valid_ = false;
 }
 
@@ -418,24 +368,12 @@ PoseEstimate ParticleFilter::estimate() const {
 }
 
 SoaView ParticleFilter::soa() const {
-  return {x_, y_, z_, yaw_, logw_, count_};
+  return {x_.data(), y_.data(), z_.data(), yaw_.data(), logw_.data(), count_};
 }
 
 MutableSoaView ParticleFilter::mutable_soa() {
   weights_valid_ = false;
-  return {x_, y_, z_, yaw_, logw_, count_};
-}
-
-FilterMemoryStats ParticleFilter::memory_stats() const {
-  FilterMemoryStats s;
-  s.heap_allocations = retired_heap_allocations_ +
-                       arena_.stats().slab_allocations +
-                       pose_pool_.stats().slab_allocations;
-  s.pool_acquires = pose_pool_.stats().acquires;
-  s.pool_releases = pose_pool_.stats().releases;
-  s.particle_capacity = capacity_;
-  s.arena_bytes = arena_.capacity();
-  return s;
+  return {x_.data(), y_.data(), z_.data(), yaw_.data(), logw_.data(), count_};
 }
 
 }  // namespace cimnav::filter

@@ -3,15 +3,15 @@
 // recursive Bayes update, with systematic resampling triggered by the
 // effective sample size.
 //
-// Storage is structure-of-arrays: the cloud lives in cache-line-aligned
-// `x/y/z/yaw` arrays (two pose blocks cycled through a core::BufferPool
-// for the double-buffered resample gather) plus `log_weight` and scratch
-// arrays carved from a core::Arena. All per-step work — weight
-// normalization, ESS, the tempering bisection, estimate, systematic
-// resampling — runs as fused passes over these arrays, and the whole
+// Storage is structure-of-arrays: the cloud lives in `x/y/z/yaw`
+// std::vectors (each with a gather twin the resample writes into and then
+// swaps with) plus `log_weight` and scratch vectors. All per-step work —
+// weight normalization, ESS, the tempering bisection, estimate,
+// systematic resampling — runs as fused passes over these arrays. Vectors
+// only grow (resample_to past the largest size seen so far), so the whole
 // predict -> update -> resample cycle performs zero heap allocations
-// after construction (asserted by the arena counters in
-// memory_stats()). Readers use soa(); editors use mutable_soa().
+// after construction (tests/test_memory.cpp counts them with a global
+// operator-new spy). Readers use soa(); editors use mutable_soa().
 //
 // Determinism contract: results are bit-identical to the historical AoS
 // implementation at any thread count. Element-wise passes (the
@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/arena.hpp"
 #include "core/rng.hpp"
 #include "core/thread_pool.hpp"
 #include "core/vec.hpp"
@@ -72,7 +71,7 @@ struct PoseEstimate {
 };
 
 /// Read-only view of the SoA cloud (pointers valid until the next
-/// mutating call — resampling swaps pose blocks).
+/// mutating call — resampling swaps the pose arrays with their twins).
 struct SoaView {
   const double* x = nullptr;
   const double* y = nullptr;
@@ -90,17 +89,6 @@ struct MutableSoaView {
   double* yaw = nullptr;
   double* log_weight = nullptr;
   std::size_t count = 0;
-};
-
-/// Lifetime heap-traffic ledger (see ParticleFilter::memory_stats):
-/// `heap_allocations` counts arena/pool slab allocations only — it must
-/// stay flat across steady-state predict -> update -> resample cycles.
-struct FilterMemoryStats {
-  std::uint64_t heap_allocations = 0;  ///< arena + pool slabs, lifetime
-  std::uint64_t pool_acquires = 0;     ///< pose-block acquires (resamples)
-  std::uint64_t pool_releases = 0;
-  std::size_t particle_capacity = 0;   ///< allocated cloud capacity
-  std::size_t arena_bytes = 0;         ///< scratch arena capacity
 };
 
 class ParticleFilter {
@@ -186,20 +174,14 @@ class ParticleFilter {
 
   const ParticleFilterConfig& config() const { return config_; }
 
-  /// Lifetime heap-traffic counters: `heap_allocations` is flat across
-  /// steady-state predict -> update -> resample cycles (the
-  /// zero-allocation contract); it moves only at construction and when
-  /// resample_to grows past the allocated capacity.
-  FilterMemoryStats memory_stats() const;
-
   /// Systematic (low-variance) resampling; exposed for testing. The
   /// gather fans over `pool`; results are pool-independent.
   void resample(core::Rng& rng, core::ThreadPool* pool = nullptr);
 
   /// Systematic resampling into a *different* cloud size (KLD-sampling
   /// support): draws `n` particles proportionally to the current weights.
-  /// Allocation-free while n <= the allocated capacity; growing past it
-  /// re-slabs the arena (counted in memory_stats).
+  /// Allocation-free while n <= the largest cloud size seen so far;
+  /// growing past it reallocates the arrays once.
   void resample_to(std::size_t n, core::Rng& rng,
                    core::ThreadPool* pool = nullptr);
 
@@ -213,8 +195,8 @@ class ParticleFilter {
     return p;
   }
 
-  /// Grows the arena/pose-pool storage to hold `cap` particles (no-op if
-  /// already large enough). Live state is preserved.
+  /// Grows every array to hold `cap` particles (no-op if already large
+  /// enough). Live state is preserved.
   void ensure_capacity(std::size_t cap);
 
   /// Fills weights_[0..count_) with the normalized weights, replicating
@@ -237,21 +219,13 @@ class ParticleFilter {
   double tempered_ess(const double* deltas, double beta) const;
 
   ParticleFilterConfig config_;
-  core::Arena arena_;           ///< log-weights + scratch arrays
-  core::BufferPool pose_pool_;  ///< two pose blocks (resample gather)
-  std::size_t count_ = 0;       ///< live particles
-  std::size_t capacity_ = 0;    ///< allocated particle capacity
-  std::size_t padded_ = 0;      ///< capacity_ rounded up to a cache line
-  void* front_ = nullptr;       ///< pose block holding x_/y_/z_/yaw_
-  double* x_ = nullptr;
-  double* y_ = nullptr;
-  double* z_ = nullptr;
-  double* yaw_ = nullptr;
-  double* logw_ = nullptr;
-  double* weights_ = nullptr;      ///< normalized-weight / ESS scratch
-  double* deltas_ = nullptr;       ///< per-update log-likelihoods
-  std::uint32_t* idx_ = nullptr;   ///< resample ancestor indices
-  std::uint64_t retired_heap_allocations_ = 0;  ///< from replaced slabs
+  std::size_t count_ = 0;  ///< live particles
+  std::vector<double> x_, y_, z_, yaw_;
+  std::vector<double> gx_, gy_, gz_, gyaw_;  ///< resample gather twins
+  std::vector<double> logw_;
+  mutable std::vector<double> weights_;  ///< normalized-weight / ESS scratch
+  std::vector<double> deltas_;           ///< per-update log-likelihoods
+  std::vector<std::uint32_t> idx_;       ///< resample ancestor indices
   double last_update_ess_ = 0.0;
   double last_update_beta_ = 1.0;
   mutable bool weights_valid_ = false;  ///< weights_ matches current logw_

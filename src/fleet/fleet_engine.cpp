@@ -176,8 +176,6 @@ void FleetEngine::admit_locked() {
     slot->queue_ticks_total = 0;
     slot->scheduled_ticks = 0;
     slot->scheduled = false;
-    slot->vo_energy_spent_j = 0.0;
-    slot->update_energy_spent_j = 0.0;
     const auto win = static_cast<std::size_t>(config_.window);
     slot->inputs.resize(win);
     slot->xs.resize(win);
@@ -213,7 +211,8 @@ void FleetEngine::select_locked() {
     v.last_scheduled_tick = s.last_scheduled_tick;
     v.queue_ticks = s.queue_ticks_row;
     v.frames_left = s.session.frame_count() - s.next_frame;
-    v.energy_spent_j = s.vo_energy_spent_j + s.update_energy_spent_j;
+    const vo::ClosedLoopRun& ledger = s.session.run();
+    v.energy_spent_j = ledger.vo_energy_j + ledger.update_energy_j;
     if (s.next_frame > 0 && v.frames_left > 0) {
       const double mean =
           v.energy_spent_j / static_cast<double>(s.next_frame);
@@ -345,8 +344,8 @@ void FleetEngine::retire_locked(Slot& slot) {
       q.had_deadline &&
       q.ticks_to_completion <=
           static_cast<std::uint64_t>(slot.qos.target_latency_ticks);
-  q.vo_energy_j = slot.vo_energy_spent_j;
-  q.update_energy_j = slot.update_energy_spent_j;
+  q.vo_energy_j = run.vo_energy_j;
+  q.update_energy_j = run.update_energy_j;
   QosClassLedger& cls = class_ledger_locked(slot.qos.priority);
   ++cls.sessions_completed;
   if (q.had_deadline) {
@@ -450,11 +449,6 @@ bool FleetEngine::tick_locked() {
       const auto o = static_cast<std::size_t>(off);
       s.session.consume(f, s.preds[o]);
       s.session.record_frame_macro(f, s.frame_workloads[o].macro);
-      // In-flight QoS ledger, frame order — the same pricing and
-      // accumulation order finish() uses, so the record's totals are
-      // bitwise equal to the published run's.
-      s.vo_energy_spent_j += s.session.frame_vo_energy_j(f);
-      s.update_energy_spent_j += s.session.frame_update_energy_j(f);
     }
     s.next_frame += s.window_frames;
   }

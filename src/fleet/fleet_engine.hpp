@@ -242,7 +242,6 @@ class FleetEngine {
     return dispatch_trace_;
   }
   const FleetConfig& config() const { return config_; }
-  std::size_t workload_count() const { return workloads_.size(); }
 
  private:
   friend class SessionHandle;
@@ -277,11 +276,6 @@ class FleetEngine {
     std::uint64_t queue_ticks_total = 0;
     std::uint64_t scheduled_ticks = 0;
     bool scheduled = false;               ///< in this tick's working set
-    /// In-flight energy ledger, accumulated frame-by-frame in stage C —
-    /// bitwise equal to the published run's totals (same pricing, same
-    /// accumulation order).
-    double vo_energy_spent_j = 0.0;
-    double update_energy_spent_j = 0.0;
   };
 
   bool tick_locked();

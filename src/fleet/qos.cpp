@@ -205,10 +205,6 @@ std::vector<std::string> admission_policy_names() {
   return registry().names();
 }
 
-std::string admission_policy_description(std::string_view name) {
-  return registry().description(name);
-}
-
 bool register_admission_policy(std::string name, std::string description,
                                Factory factory) {
   CIMNAV_REQUIRE(!name.empty(),

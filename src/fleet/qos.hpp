@@ -196,9 +196,6 @@ std::unique_ptr<AdmissionPolicy> make_admission_policy(
 /// Registered names in registration order (built-ins first).
 std::vector<std::string> admission_policy_names();
 
-/// One-line description of a registered policy (throws on unknown).
-std::string admission_policy_description(std::string_view name);
-
 /// Extension hook: registers (or, returning false, replaces) a named
 /// policy. The factory must return a fresh instance per call.
 bool register_admission_policy(

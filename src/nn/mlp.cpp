@@ -86,16 +86,6 @@ const Vector& Mlp::biases(int layer) const {
   return biases_[static_cast<std::size_t>(layer)];
 }
 
-Matrix& Mlp::mutable_weights(int layer) {
-  CIMNAV_REQUIRE(layer >= 0 && layer < layer_count(), "layer out of range");
-  return weights_[static_cast<std::size_t>(layer)];
-}
-
-Vector& Mlp::mutable_biases(int layer) {
-  CIMNAV_REQUIRE(layer >= 0 && layer < layer_count(), "layer out of range");
-  return biases_[static_cast<std::size_t>(layer)];
-}
-
 int Mlp::dropout_site_count() const {
   // Input (optional) + every hidden layer.
   return (config_.dropout_on_input ? 1 : 0) + layer_count() - 1;

@@ -53,8 +53,6 @@ class Mlp {
 
   const Matrix& weights(int layer) const;
   const Vector& biases(int layer) const;
-  Matrix& mutable_weights(int layer);
-  Vector& mutable_biases(int layer);
 
   /// Deterministic forward pass (no dropout; the "classical" network).
   Vector forward(const Vector& x) const;

@@ -17,12 +17,6 @@ double mc_kl_divergence(const DensityView& p, const DensityView& q,
   return s / static_cast<double>(n_samples);
 }
 
-double mc_symmetric_kl(const DensityView& p, const DensityView& q,
-                       int n_samples, core::Rng& rng) {
-  return 0.5 * mc_kl_divergence(p, q, n_samples, rng) +
-         0.5 * mc_kl_divergence(q, p, n_samples, rng);
-}
-
 double grid_field_rmse(const std::function<double(const core::Vec3&)>& f,
                        const std::function<double(const core::Vec3&)>& g,
                        const core::Vec3& lo, const core::Vec3& hi, int n) {

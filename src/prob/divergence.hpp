@@ -19,10 +19,6 @@ struct DensityView {
 double mc_kl_divergence(const DensityView& p, const DensityView& q,
                         int n_samples, core::Rng& rng);
 
-/// Symmetric Jensen-Shannon-style proxy: 0.5 KL(p||q) + 0.5 KL(q||p).
-double mc_symmetric_kl(const DensityView& p, const DensityView& q,
-                       int n_samples, core::Rng& rng);
-
 /// RMSE between two (already comparable) density fields sampled on a
 /// regular grid over [lo, hi]^3 with `n` points per axis.
 double grid_field_rmse(const std::function<double(const core::Vec3&)>& f,

@@ -39,10 +39,4 @@ core::Vec3 DiagGaussian::sample(core::Rng& rng) const {
           rng.normal(mean_.z, sigma_.z)};
 }
 
-double normal_pdf(double x, double mean, double sigma) {
-  CIMNAV_REQUIRE(sigma > 0.0, "sigma must be positive");
-  const double u = (x - mean) / sigma;
-  return std::exp(-0.5 * u * u) / (sigma * 2.5066282746310005);
-}
-
 }  // namespace cimnav::prob

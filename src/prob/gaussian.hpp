@@ -34,7 +34,4 @@ class DiagGaussian {
   double log_norm_;  // precomputed -log((2 pi)^{3/2} sx sy sz)
 };
 
-/// 1-D standard normal pdf (used by kernels and tests).
-double normal_pdf(double x, double mean, double sigma);
-
 }  // namespace cimnav::prob

@@ -104,8 +104,6 @@ void OdometrySession::begin(const filter::LocalizationScenario& scenario,
   run_.mean_particles = 0.0;
   run_.final_particles = 0;
   scans_.resize(static_cast<std::size_t>(frames_));
-  frame_macro_.assign(static_cast<std::size_t>(frames_),
-                      cimsram::MacroStats{});
   sigma_sum_ = 0.0;
   sigma_count_ = 0;
   last_ess_fraction_ = 1.0;
@@ -180,6 +178,7 @@ void OdometrySession::consume(int f, const bnn::McPrediction& pred) {
   rec.likelihood_evals = model_->evaluation_count() - evals_before;
   rec.update_energy_j = static_cast<double>(rec.likelihood_evals) *
                         model_->evaluation_energy_j();
+  run_.update_energy_j += rec.update_energy_j;
 
   const filter::PoseEstimate est = pf_->estimate();
   const core::Pose& truth = poses[fi + 1];
@@ -224,35 +223,21 @@ void OdometrySession::consume(int f, const bnn::McPrediction& pred) {
 
 void OdometrySession::record_frame_macro(int f,
                                          const cimsram::MacroStats& stats) {
-  frame_macro_[static_cast<std::size_t>(f)] = stats;
-}
-
-double OdometrySession::frame_vo_energy_j(int f) const {
-  // The same pricing finish() applies per frame — pure, so calling it
-  // both in flight and in the epilogue books identical joules.
-  return energy::macro_stats_energy_j(frame_macro_[static_cast<std::size_t>(f)],
-                                      net_->macro(0).config().adc_bits);
-}
-
-double OdometrySession::frame_update_energy_j(int f) const {
-  return run_.steps[static_cast<std::size_t>(f)].update_energy_j;
+  // The VO pass runs for every frame regardless of the policy.
+  ClosedLoopStep& rec = run_.steps[static_cast<std::size_t>(f)];
+  rec.vo_energy_j = energy::macro_stats_energy_j(
+      stats, net_->macro(0).config().adc_bits);
+  run_.vo_energy_j += rec.vo_energy_j;
 }
 
 ClosedLoopRun& OdometrySession::finish() {
-  // Ledger epilogue: price each frame's stage-B macro activity (the VO
-  // pass runs for every frame regardless of the policy) and total the
-  // run. The measurement side was measured in-flight via the model's
-  // evaluation counter.
-  const int vo_adc_bits = net_->macro(0).config().adc_bits;
+  // Ledger epilogue: both energy totals were booked in flight
+  // (record_frame_macro, consume); total the rest of the run.
   err2_.clear();
   err2_.reserve(run_.steps.size());
   for (std::size_t fi = 0; fi < run_.steps.size(); ++fi) {
     ClosedLoopStep& s = run_.steps[fi];
-    s.vo_energy_j =
-        energy::macro_stats_energy_j(frame_macro_[fi], vo_adc_bits);
     s.energy_j = s.vo_energy_j + s.update_energy_j;
-    run_.vo_energy_j += s.vo_energy_j;
-    run_.update_energy_j += s.update_energy_j;
     run_.likelihood_evals += s.likelihood_evals;
     err2_.push_back(s.position_error_m * s.position_error_m);
     run_.mean_spread_m += s.position_spread_m;

@@ -23,8 +23,9 @@
 //                         update, per-frame record (and, when
 //                         ClosedLoopConfig::kld_adapt, the KLD cloud
 //                         shrink);
-//   record_frame_macro()  stage-B attribution for the energy ledger;
-//   finish()              epilogue — prices the ledger, totals the run.
+//   record_frame_macro()  stage B's energy: prices frame f's macro
+//                         activity into the record and the running total;
+//   finish()              epilogue — totals the rest of the run.
 #pragma once
 
 #include <memory>
@@ -67,17 +68,16 @@ class OdometrySession {
   /// when configured — the KLD cloud shrink.
   void consume(int f, const bnn::McPrediction& pred);
 
-  /// Books frame f's stage-B macro activity for the energy epilogue.
+  /// Prices frame f's stage-B macro activity once: writes the frame's
+  /// VO energy into its record and adds it to the run's running
+  /// vo_energy_j. Called once per frame, in frame order.
   void record_frame_macro(int f, const cimsram::MacroStats& stats);
 
-  /// Frame f's VO energy priced on demand — the exact value finish()
-  /// will book for that frame (same macro stats, same ADC pricing), so
-  /// an in-flight ledger summed in frame order is bitwise equal to the
-  /// published run's totals. Valid once record_frame_macro(f) ran.
-  double frame_vo_energy_j(int f) const;
-  /// Frame f's measured likelihood-update energy; valid once
-  /// consume(f, ...) ran.
-  double frame_update_energy_j(int f) const;
+  /// The run record so far. Its vo_energy_j / update_energy_j are
+  /// running totals over the frames recorded / consumed, summed in frame
+  /// order — the values finish() publishes; the other run-level fields
+  /// are filled by finish().
+  const ClosedLoopRun& run() const { return run_; }
 
   /// Ledger epilogue; returns the completed run (valid until the next
   /// begin()). Mutable so the fleet engine can swap it into a pooled
@@ -108,7 +108,6 @@ class OdometrySession {
   bnn::SoftwareMaskSource masks_{core::Rng{0}};
   core::Rng analog_rng_{0};
   std::vector<vision::DepthScan> scans_;        ///< stage A -> C handoff
-  std::vector<cimsram::MacroStats> frame_macro_;
   ClosedLoopRun run_;
   std::vector<double> err2_;  ///< finish() scratch
   // Policy signal state, advanced in frame order by consume().

@@ -147,18 +147,6 @@ VoRun VoPipeline::run_float() const {
   });
 }
 
-VoRun VoPipeline::run_float_mc(int iterations,
-                               bnn::MaskSource& masks) const {
-  return evaluate(
-      "float-mc", [this, iterations, &masks](const nn::Vector& x,
-                                             double* variance) {
-        const auto pred = bnn::mc_predict_float(*net_, x, iterations,
-                                                config_.dropout_p, masks);
-        if (variance != nullptr) *variance = pred.scalar_variance();
-        return pred.mean;
-      });
-}
-
 VoRun VoPipeline::run_quantized(int weight_bits, int activation_bits) const {
   nn::QuantMlp qnet(*net_, weight_bits, activation_bits, train_inputs_);
   return evaluate("quant-" + std::to_string(weight_bits) + "b",
@@ -214,13 +202,6 @@ VoRun VoPipeline::run_cim_mc(const cimsram::CimMacroConfig& macro,
         if (variance != nullptr) *variance = pred.scalar_variance();
         return pred.mean;
       });
-}
-
-nn::Vector VoPipeline::frame_feature(const core::Pose& a,
-                                     const core::Pose& b,
-                                     core::Rng& rng) const {
-  return make_feature(observations_.observe(a, rng),
-                      observations_.observe(b, rng));
 }
 
 void VoPipeline::frame_feature_into(const core::Pose& a, const core::Pose& b,

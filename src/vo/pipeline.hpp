@@ -116,9 +116,6 @@ class VoPipeline {
   /// Full-precision deterministic reference.
   VoRun run_float() const;
 
-  /// Float-precision MC-Dropout (isolates the Bayesian effect from CIM).
-  VoRun run_float_mc(int iterations, bnn::MaskSource& masks) const;
-
   /// Digital fixed-point deterministic at the given precision.
   VoRun run_quantized(int weight_bits, int activation_bits) const;
 
@@ -158,19 +155,14 @@ class VoPipeline {
   /// The synthetic landmark field the regressor was trained against.
   const ObservationModel& observations() const { return observations_; }
 
-  /// Builds the regressor input for one frame transition a -> b:
-  /// observation of `a` concatenated with the centered difference to the
-  /// observation of `b` (the exact feature layout used in training).
-  /// `rng` drives the observation noise; key it on the frame index when
-  /// generating frames in stage A (the window schedule requires inputs
-  /// to be pure functions of the frame index; see
+  /// Builds the regressor input for one frame transition a -> b into
+  /// `out` (capacity kept across calls; observation scratch is
+  /// per-thread): observation of `a` concatenated with the centered
+  /// difference to the observation of `b` (the exact feature layout used
+  /// in training). `rng` drives the observation noise; key it on the
+  /// frame index when generating frames in stage A (the window schedule
+  /// requires inputs to be pure functions of the frame index; see
   /// OdometrySession::make_input).
-  nn::Vector frame_feature(const core::Pose& a, const core::Pose& b,
-                           core::Rng& rng) const;
-
-  /// Allocation-reusing variant of frame_feature: writes the feature into
-  /// `out` (capacity kept across calls; observation scratch is per-thread).
-  /// Identical draws and values to frame_feature.
   void frame_feature_into(const core::Pose& a, const core::Pose& b,
                           core::Rng& rng, nn::Vector& out) const;
 

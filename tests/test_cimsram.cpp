@@ -375,6 +375,16 @@ TEST_P(CimMacroTest, RejectsBadArguments) {
   EXPECT_THROW(macro.matvec({1.0}, {}, {}, rng), std::invalid_argument);
 }
 
+TEST_P(CimMacroTest, RejectsNonFiniteWeights) {
+  const CimMacroConfig cfg = base_config();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(CimMacro({0.5, bad}, 1, 2, cfg, 1.0), std::invalid_argument)
+        << bad;
+  }
+}
+
 TEST_P(CimMacroTest, DeltaRejectsRowsPastTheLayer) {
   // A flip-list row past n_in still lands inside the last packed gate
   // word, so only an explicit row check keeps it from driving a phantom

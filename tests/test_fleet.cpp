@@ -6,10 +6,7 @@
 // guarantee of the admit -> run -> retire cycle.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <thread>
 #include <vector>
 
@@ -17,53 +14,9 @@
 #include "core/thread_pool.hpp"
 #include "fleet/fleet_engine.hpp"
 #include "filter/scenario.hpp"
+#include "support/heap_spy.hpp"
 #include "vo/closed_loop.hpp"
 #include "vo/pipeline.hpp"
-
-// ---------------------------------------------------------------- heap spy
-// Program-wide operator new replacement counting allocations while armed
-// (same pattern as test_memory.cpp; each test binary is its own program,
-// so the replacement is local to this suite).
-namespace {
-
-std::atomic<bool> g_count_heap{false};
-std::atomic<std::uint64_t> g_heap_allocs{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_count_heap.load(std::memory_order_relaxed))
-    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-// The nothrow variants must be replaced too: libstdc++'s temporary
-// buffers (std::stable_sort) allocate through them, and a mix of default
-// nothrow-new with this TU's free()-based delete is an ASan
-// alloc-dealloc mismatch.
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  if (g_count_heap.load(std::memory_order_relaxed))
-    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-void* operator new[](std::size_t size, const std::nothrow_t& t) noexcept {
-  return ::operator new(size, t);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace cimnav {
 namespace {
@@ -481,15 +434,14 @@ TEST_F(FleetTest, SteadyStateAdmitRunRetireIsAllocationFree) {
     EXPECT_TRUE(b.poll());
   };
   // Warm every pooled buffer (slots, completions, TLS scratch, filter
-  // arenas; the completion swap needs one extra lap to circulate run
+  // arrays; the completion swap needs one extra lap to circulate run
   // storage back into the sessions).
   for (int i = 0; i < 3; ++i) cycle();
 
-  g_heap_allocs.store(0, std::memory_order_relaxed);
-  g_count_heap.store(true, std::memory_order_relaxed);
-  for (int i = 0; i < 3; ++i) cycle();
-  g_count_heap.store(false, std::memory_order_relaxed);
-  EXPECT_EQ(g_heap_allocs.load(std::memory_order_relaxed), 0u)
+  EXPECT_EQ(heap_spy::allocations_during([&] {
+              for (int i = 0; i < 3; ++i) cycle();
+            }),
+            0u)
       << "steady-state fleet cycles must not touch the heap";
 }
 

@@ -1,20 +1,15 @@
-// Tests for the zero-copy SoA particle engine and its memory primitives:
-// bit-identity against an AoS reference implementation of the historical
-// filter, resample_to edge cases, arena/pool exhaustion and reuse, and
-// the zero-steady-state-allocation contract (asserted both by the arena
-// counters and by a global operator-new counter in this TU), which also
+// Tests for the zero-copy SoA particle engine: bit-identity against an
+// AoS reference implementation of the historical filter, resample_to
+// edge cases, and the zero-steady-state-allocation contract (asserted by
+// the global operator-new spy in tests/support/heap_spy), which also
 // bounds the VO regressor's training allocations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <new>
-#include <stdexcept>
+#include <limits>
 #include <vector>
 
-#include "core/arena.hpp"
 #include "core/rng.hpp"
 #include "core/thread_pool.hpp"
 #include "core/vec.hpp"
@@ -24,46 +19,8 @@
 #include "filter/scenario.hpp"
 #include "nn/mlp.hpp"
 #include "prob/logspace.hpp"
+#include "support/heap_spy.hpp"
 #include "vision/depth.hpp"
-
-// ---------------------------------------------------------------- heap spy
-// Program-wide operator new replacement counting allocations while armed.
-// Counting is off by default so gtest bookkeeping does not pollute the
-// steady-state window under test.
-namespace {
-std::atomic<bool> g_count_heap{false};
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_count_heap.load(std::memory_order_relaxed))
-    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-// The nothrow variants must be replaced too: libstdc++'s temporary
-// buffers (std::stable_sort) allocate through them, and a mix of default
-// nothrow-new with this TU's free()-based delete is an ASan
-// alloc-dealloc mismatch.
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  if (g_count_heap.load(std::memory_order_relaxed))
-    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& t) noexcept {
-  return ::operator new(size, t);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace cimnav {
 namespace {
@@ -362,9 +319,10 @@ TEST(ResampleTo, ShrinkToOneKeepsAnAncestor) {
   Rng rng(13);
   pf.init_gaussian({{0.4, 0.4, 0.4}, 0.0}, {0.2, 0.2, 0.1}, 0.1, rng);
   const std::vector<core::Pose> before = cloud_poses(pf);
-  const auto stats_before = pf.memory_stats();
 
-  pf.resample_to(1, rng);
+  // Shrinking never allocates.
+  EXPECT_EQ(heap_spy::allocations_during([&] { pf.resample_to(1, rng); }),
+            0u);
   ASSERT_EQ(pf.size(), 1u);
   const auto soa = pf.soa();
   const bool is_ancestor =
@@ -374,26 +332,19 @@ TEST(ResampleTo, ShrinkToOneKeepsAnAncestor) {
       });
   EXPECT_TRUE(is_ancestor);
   EXPECT_EQ(soa.log_weight[0], 0.0);
-  // Shrinking never allocates.
-  EXPECT_EQ(pf.memory_stats().heap_allocations,
-            stats_before.heap_allocations);
 }
 
-TEST(ResampleTo, GrowingPastCapacityReslabsOnceThenStaysFlat) {
+TEST(ResampleTo, GrowingPastCapacityAllocatesOnceThenStaysFlat) {
   filter::ParticleFilterConfig cfg;
   cfg.particle_count = 100;
   filter::ParticleFilter pf(cfg);
   Rng rng(17);
   pf.init_gaussian({{0.6, 0.6, 0.6}, 0.0}, {0.3, 0.3, 0.2}, 0.1, rng);
   const std::vector<core::Pose> before = cloud_poses(pf);
-  const auto stats_before = pf.memory_stats();
-  ASSERT_LT(stats_before.particle_capacity, 500u);
 
-  pf.resample_to(500, rng);
+  EXPECT_GT(heap_spy::allocations_during([&] { pf.resample_to(500, rng); }),
+            0u);
   ASSERT_EQ(pf.size(), 500u);
-  const auto grown = pf.memory_stats();
-  EXPECT_GT(grown.heap_allocations, stats_before.heap_allocations);
-  EXPECT_GE(grown.particle_capacity, 500u);
   // Every grown particle is a gather of some ancestor.
   const auto soa = pf.soa();
   for (std::size_t i = 0; i < soa.count; i += 97) {
@@ -404,57 +355,9 @@ TEST(ResampleTo, GrowingPastCapacityReslabsOnceThenStaysFlat) {
     EXPECT_TRUE(is_ancestor) << "i=" << i;
     EXPECT_EQ(soa.log_weight[i], 0.0);
   }
-  // A second resample at the grown size reuses the new slabs.
-  pf.resample_to(500, rng);
-  EXPECT_EQ(pf.memory_stats().heap_allocations, grown.heap_allocations);
-}
-
-// ---------------------------------------------------------- arena + pool
-
-TEST(Arena, CarveExhaustionThrowsAndResetReuses) {
-  core::Arena arena(256);
-  EXPECT_EQ(arena.stats().slab_allocations, 1u);
-  EXPECT_EQ(arena.capacity(), 256u);
-
-  double* a = arena.carve_array<double>(8);   // 64 bytes
-  double* b = arena.carve_array<double>(16);  // 128 bytes
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % core::kCacheLineBytes, 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % core::kCacheLineBytes, 0u);
-  EXPECT_EQ(arena.used(), 192u);
-  EXPECT_THROW(arena.carve(128), std::invalid_argument);
-
-  arena.reset();
-  EXPECT_EQ(arena.used(), 0u);
-  double* c = arena.carve_array<double>(32);  // full capacity again
-  EXPECT_EQ(c, a);                            // same slab, same base
-  EXPECT_EQ(arena.stats().slab_allocations, 1u);
-  EXPECT_EQ(arena.stats().high_water_bytes, 256u);
-}
-
-TEST(BufferPool, ExhaustionReleaseAndReuse) {
-  core::BufferPool pool(100, 2);  // rounded up to whole cache lines
-  EXPECT_EQ(pool.block_bytes(), 128u);
-  EXPECT_EQ(pool.blocks_total(), 2u);
-  EXPECT_EQ(pool.stats().slab_allocations, 1u);
-
-  void* first = pool.acquire();
-  void* second = pool.acquire();
-  ASSERT_NE(first, nullptr);
-  ASSERT_NE(second, nullptr);
-  ASSERT_NE(first, second);
-  EXPECT_EQ(pool.blocks_free(), 0u);
-  EXPECT_THROW(pool.acquire(), std::invalid_argument);
-
-  int unrelated = 0;
-  EXPECT_THROW(pool.release(&unrelated), std::invalid_argument);
-  pool.release(second);
-  EXPECT_THROW(pool.release(second), std::invalid_argument);  // double free
-  EXPECT_EQ(pool.acquire(), second);  // LIFO reuse, no allocation
-  EXPECT_EQ(pool.stats().slab_allocations, 1u);
-  EXPECT_EQ(pool.stats().acquires, 3u);
-  EXPECT_EQ(pool.stats().releases, 1u);
+  // A second resample at the grown size reuses the grown arrays.
+  EXPECT_EQ(heap_spy::allocations_during([&] { pf.resample_to(500, rng); }),
+            0u);
 }
 
 // --------------------------------------------------- zero-allocation loop
@@ -470,30 +373,28 @@ TEST(ZeroAllocation, SteadyStateFilterCyclesNeverTouchTheHeap) {
   vision::DepthScan scan;
   const filter::Control ctl{{0.02, 0.0, 0.0}, 0.01};
 
-  // Warm-up frame: first-touch paths (compat view stays untouched).
+  // Warm-up frame: first-touch paths.
   pf.predict(ctl, rng);
   pf.update(scan, model, rng);
-  const auto warm = pf.memory_stats();
 
-  g_heap_allocs.store(0);
-  g_count_heap.store(true);
-  for (int frame = 0; frame < 8; ++frame) {
-    pf.predict(ctl, rng);
-    pf.update(scan, model, rng);
-    (void)pf.estimate();
-    (void)pf.effective_sample_size();
-    (void)pf.soa();
-    (void)pf.size();
-  }
-  g_count_heap.store(false);
+  bool every_update_resampled = true;
+  const auto allocs = heap_spy::allocations_during([&] {
+    for (int frame = 0; frame < 8; ++frame) {
+      pf.predict(ctl, rng);
+      pf.update(scan, model, rng);
+      // Threshold 1.0: every update resampled, zeroing the log-weights.
+      const auto soa = pf.soa();
+      for (std::size_t i = 0; i < soa.count; ++i)
+        every_update_resampled &= soa.log_weight[i] == 0.0;
+      (void)pf.estimate();
+      (void)pf.effective_sample_size();
+      (void)pf.size();
+    }
+  });
 
-  EXPECT_EQ(g_heap_allocs.load(), 0u)
+  EXPECT_EQ(allocs, 0u)
       << "steady-state predict/update/resample cycle touched the heap";
-  const auto after = pf.memory_stats();
-  EXPECT_EQ(after.heap_allocations, warm.heap_allocations);
-  // Every frame resampled (threshold 1.0): one pool block cycle each.
-  EXPECT_EQ(after.pool_acquires, warm.pool_acquires + 8);
-  EXPECT_EQ(after.pool_releases, warm.pool_releases + 8);
+  EXPECT_TRUE(every_update_resampled);
 }
 
 TEST(ZeroAllocation, CimBackendFilterCyclesNeverTouchTheHeap) {
@@ -523,15 +424,14 @@ TEST(ZeroAllocation, CimBackendFilterCyclesNeverTouchTheHeap) {
     pf.predict(ctl, rng);
     pf.update(scan, *model, rng, pool);  // warm-up
 
-    g_heap_allocs.store(0);
-    g_count_heap.store(true);
-    for (int frame = 0; frame < 6; ++frame) {
-      pf.predict(ctl, rng);
-      pf.update(scan, *model, rng, pool);
-      (void)pf.estimate();
-    }
-    g_count_heap.store(false);
-    EXPECT_EQ(g_heap_allocs.load(), 0u)
+    const auto allocs = heap_spy::allocations_during([&] {
+      for (int frame = 0; frame < 6; ++frame) {
+        pf.predict(ctl, rng);
+        pf.update(scan, *model, rng, pool);
+        (void)pf.estimate();
+      }
+    });
+    EXPECT_EQ(allocs, 0u)
         << "CIM update cycle touched the heap (pool "
         << (pool ? pool->thread_count() : 0) << ")";
   }
@@ -554,11 +454,8 @@ TEST(ZeroAllocation, TrainEpochAllocationsDoNotGrowWithSampleCount) {
       X.push_back(std::move(x));
     }
     const nn::TrainOptions opt;
-    g_heap_allocs.store(0);
-    g_count_heap.store(true);
-    net.train_epoch(X, Y, opt, rng, pool);
-    g_count_heap.store(false);
-    return g_heap_allocs.load();
+    return heap_spy::allocations_during(
+        [&] { net.train_epoch(X, Y, opt, rng, pool); });
   };
   ThreadPool pool(2);
   for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {

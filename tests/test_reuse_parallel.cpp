@@ -6,12 +6,10 @@
 // {1, 4, 8} — up to 16 frames x 3 chains x 8 sessions of work items —
 // on unbounded and array-grid (multi-array matvec_delta) reuse loci,
 // and the warmed pooled reuse path must run without touching the heap
-// (operator-new spy in this TU).
+// (the operator-new spy in tests/support/heap_spy).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
+#include <cstdint>
 #include <vector>
 
 #include "bnn/mask_source.hpp"
@@ -21,27 +19,7 @@
 #include "core/thread_pool.hpp"
 #include "nn/cim_mlp.hpp"
 #include "nn/mlp.hpp"
-
-// ---------------------------------------------------------------- heap spy
-// Program-wide operator new replacement counting allocations while armed.
-// Counting is off by default so gtest bookkeeping does not pollute the
-// steady-state window under test.
-namespace {
-std::atomic<bool> g_count_heap{false};
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_count_heap.load(std::memory_order_relaxed))
-    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "support/heap_spy.hpp"
 
 namespace cimnav::bnn {
 namespace {
@@ -320,13 +298,8 @@ TEST_F(ReuseParallelFixture, PooledReusePathIsAllocationFreeOnceWarm) {
   // a bounded number of cycles an entire pooled dispatch must touch the
   // heap zero times.
   std::uint64_t allocs = ~0ull;
-  for (int attempt = 0; attempt < 10 && allocs != 0; ++attempt) {
-    g_heap_allocs.store(0, std::memory_order_relaxed);
-    g_count_heap.store(true, std::memory_order_relaxed);
-    run();
-    g_count_heap.store(false, std::memory_order_relaxed);
-    allocs = g_heap_allocs.load(std::memory_order_relaxed);
-  }
+  for (int attempt = 0; attempt < 10 && allocs != 0; ++attempt)
+    allocs = heap_spy::allocations_during(run);
   EXPECT_EQ(allocs, 0u);
 }
 
