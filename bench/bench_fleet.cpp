@@ -13,8 +13,9 @@
 //   exactness   every fleet session is bit-identical to its serial
 //               vo::run_odometry_loop — the fleet_bit_identity flag;
 //   overhead    the scheduler itself is cheap: single-threaded fleet
-//               wall time over the same 8 runs serial, as a within-run
-//               ratio (~1.0; the batched dispatch amortizes per-frame
+//               wall time over the same 8 runs serial, timed back to
+//               back in each of 3 rounds; the median per-round ratio
+//               (~1.0; the batched dispatch amortizes per-frame
 //               bookkeeping, the scheduler adds queue + grouping work);
 //
 // plus the KLD-adaptive particle-cost ledger: a kidnapped-drone session
@@ -26,6 +27,7 @@
 // cycles on a warmed engine with the counting operator new of
 // tests/support/heap_spy (linked into this binary) and requires zero
 // allocations.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -101,56 +103,75 @@ int main() {
     return cfg;
   };
 
-  // ---- serial reference: the same 8 sessions, one run_odometry_loop
-  // each, single-threaded (within-run comparisons only).
-  std::vector<vo::ClosedLoopRun> serial_runs;
-  const auto t_serial = std::chrono::steady_clock::now();
-  for (int i = 0; i < kSessions; ++i)
-    serial_runs.push_back(vo::run_odometry_loop(
-        scenario, vo, *cim, *model,
-        spec_for(31 + static_cast<std::uint64_t>(i))));
-  const double serial_s = seconds_since(t_serial);
-
-  // ---- fleet: same sessions, one engine, single-threaded too — the
-  // runtime ratio isolates scheduling + batching overhead, not cores.
+  // ---- serial reference vs fleet: the same 8 sessions, one
+  // run_odometry_loop each, then one engine running all of them — both
+  // single-threaded, so the runtime ratio isolates scheduling + batching
+  // overhead, not cores. The two sides run back to back in each round and
+  // the ratio is the median of the per-round ratios, which keeps host
+  // speed drift between the two timings out of it.
+  constexpr int kRounds = 3;
   fleet::FleetConfig fcfg;
   fcfg.pool = nullptr;
   fcfg.window = kWindow;
   fcfg.max_sessions = kSessions;
   fcfg.queue_capacity = kSessions;
-  fleet::FleetEngine engine(fcfg);
-  const std::size_t workload =
-      engine.add_workload(scenario, vo, *cim, *model);
-
-  std::vector<fleet::SessionHandle> handles;
-  const auto t_fleet = std::chrono::steady_clock::now();
-  for (int i = 0; i < kSessions; ++i) {
-    fleet::SessionSpec spec;
-    spec.workload = workload;
-    spec.loop = spec_for(31 + static_cast<std::uint64_t>(i));
-    handles.push_back(engine.try_submit(spec));
-  }
-  engine.run_until_idle();
-  const double fleet_s = seconds_since(t_fleet);
-
+  std::vector<vo::ClosedLoopRun> serial_runs;
+  std::vector<vo::ClosedLoopRun> fleet_runs;
+  fleet::FleetStats st;
   bool identical = true;
+  std::vector<double> round_ratios;
+  double serial_total_s = 0.0, fleet_total_s = 0.0;
+  for (int round = 0; round < kRounds; ++round) {
+    serial_runs.clear();
+    const auto t_serial = std::chrono::steady_clock::now();
+    for (int i = 0; i < kSessions; ++i)
+      serial_runs.push_back(vo::run_odometry_loop(
+          scenario, vo, *cim, *model,
+          spec_for(31 + static_cast<std::uint64_t>(i))));
+    const double serial_s = seconds_since(t_serial);
+
+    fleet::FleetEngine engine(fcfg);
+    const std::size_t workload =
+        engine.add_workload(scenario, vo, *cim, *model);
+    std::vector<fleet::SessionHandle> handles;
+    const auto t_fleet = std::chrono::steady_clock::now();
+    for (int i = 0; i < kSessions; ++i) {
+      fleet::SessionSpec spec;
+      spec.workload = workload;
+      spec.loop = spec_for(31 + static_cast<std::uint64_t>(i));
+      handles.push_back(engine.try_submit(spec));
+    }
+    engine.run_until_idle();
+    const double fleet_s = seconds_since(t_fleet);
+
+    fleet_runs.clear();
+    for (int i = 0; i < kSessions; ++i) {
+      fleet_runs.push_back(handles[static_cast<std::size_t>(i)].wait());
+      identical = identical &&
+                  same_runs(serial_runs[static_cast<std::size_t>(i)],
+                            fleet_runs.back());
+    }
+    st = engine.stats();
+    round_ratios.push_back(serial_s > 0.0 ? fleet_s / serial_s : 0.0);
+    serial_total_s += serial_s;
+    fleet_total_s += fleet_s;
+  }
+  std::sort(round_ratios.begin(), round_ratios.end());
+  const double overhead_ratio = round_ratios[round_ratios.size() / 2];
+
   core::Table table({"session", "rmse [m]", "energy [uJ]", "particles/frame"});
   table.set_precision(3);
   for (int i = 0; i < kSessions; ++i) {
-    const auto& run = handles[static_cast<std::size_t>(i)].wait();
-    identical =
-        identical && same_runs(serial_runs[static_cast<std::size_t>(i)], run);
+    const auto& run = fleet_runs[static_cast<std::size_t>(i)];
     table.add_row({"corridor_dropout/" + std::to_string(i), run.rmse_m,
                    run.total_energy_j * 1e6, run.mean_particles});
   }
-  const fleet::FleetStats st = engine.stats();
   const double dispatch_ratio =
       st.pooled_layer_dispatches > 0
           ? static_cast<double>(st.serial_layer_dispatches) /
                 static_cast<double>(st.pooled_layer_dispatches)
           : 0.0;
   const double frames = static_cast<double>(st.frames_dispatched);
-  const double overhead_ratio = serial_s > 0.0 ? fleet_s / serial_s : 0.0;
 
   std::printf("8 sessions, window %d, single-threaded:\n", kWindow);
   std::printf("  bit-identical to serial runs : %s\n",
@@ -161,11 +182,17 @@ int main() {
               static_cast<unsigned long long>(st.serial_layer_dispatches));
   std::printf("  dispatch ratio               : %.2fx (gate >= 4x)\n",
               dispatch_ratio);
-  std::printf("  fleet / serial wall time     : %.3f\n", overhead_ratio);
-  // Signed wall-time difference per frame, fleet minus serial: the net
-  // effect of batching, not a time the scheduler itself spends.
+  std::printf("  fleet / serial wall time     : %.3f (median of %d rounds:",
+              overhead_ratio, kRounds);
+  for (double r : round_ratios) std::printf(" %.3f", r);
+  std::printf(")\n");
+  // Signed wall-time difference per frame, fleet minus serial, over all
+  // rounds: the net effect of batching, not a time the scheduler itself
+  // spends.
   std::printf("  fleet - serial wall / frame  : %+.1f us\n\n",
-              frames > 0.0 ? (fleet_s - serial_s) / frames * 1e6 : 0.0);
+              frames > 0.0 ? (fleet_total_s - serial_total_s) /
+                                 (frames * kRounds) * 1e6
+                           : 0.0);
 
   suite.add_summary("fleet_bit_identity", identical ? 1.0 : 0.0);
   suite.add_summary("fleet_dispatch_ratio_8s", dispatch_ratio);

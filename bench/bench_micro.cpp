@@ -702,31 +702,30 @@ int main() {
         sink += p.mean[0];
       };
 
-      const auto run_serial = [&](const char* name, core::ThreadPool* pool,
-                                  int threads) {
-        bnn::SoftwareMaskSource masks(core::Rng{11});
-        core::Rng arng(13);
+      // Loop bodies; each owns its mask and noise streams, so the rows
+      // and the paired ratios below time the same work.
+      const auto options_for = [&](core::ThreadPool* pool) {
         bnn::McOptions opt;
         opt.iterations = kIters;
         opt.dropout_p = kP;
         opt.pool = pool;
-        return suite.run(name, threads, kFrames, "frames", [&] {
+        return opt;
+      };
+      const auto per_frame = [&](core::ThreadPool* pool) {
+        return [&, opt = options_for(pool),
+                masks = bnn::SoftwareMaskSource(core::Rng{11}),
+                arng = core::Rng(13)]() mutable {
           for (int f = 0; f < kFrames; ++f)
             consume(f, bnn::mc_predict_cim(cim, make_input(f), opt, masks,
                                            arng));
-        });
+        };
       };
-      const auto run_streamed = [&](const char* name, core::ThreadPool* pool,
-                                    int threads) {
-        bnn::SoftwareMaskSource masks(core::Rng{11});
-        core::Rng arng(13);
-        bnn::McOptions opt;
-        opt.iterations = kIters;
-        opt.dropout_p = kP;
-        opt.pool = pool;
-        std::vector<nn::Vector> window(kWindow);
-        std::vector<const nn::Vector*> xs;
-        return suite.run(name, threads, kFrames, "frames", [&] {
+      const auto streamed = [&](core::ThreadPool* pool) {
+        return [&, opt = options_for(pool),
+                masks = bnn::SoftwareMaskSource(core::Rng{11}),
+                arng = core::Rng(13),
+                window = std::vector<nn::Vector>(kWindow),
+                xs = std::vector<const nn::Vector*>()]() mutable {
           for (int w0 = 0; w0 < kFrames; w0 += kWindow) {
             const int len = std::min(kWindow, kFrames - w0);
             xs.clear();
@@ -739,22 +738,26 @@ int main() {
             for (int k = 0; k < len; ++k)
               consume(w0 + k, preds[static_cast<std::size_t>(k)]);
           }
-        });
+        };
       };
 
       core::ThreadPool pool8b(8);
-      const auto serial1 =
-          run_serial("frame_pipeline_throughput/per_frame", nullptr, 1);
-      const auto serial8 =
-          run_serial("frame_pipeline_throughput/per_frame", &pool8b, 8);
-      const auto stream1 =
-          run_streamed("frame_pipeline_throughput/streamed_w4", nullptr, 1);
-      const auto stream8 =
-          run_streamed("frame_pipeline_throughput/streamed_w4", &pool8b, 8);
+      suite.run("frame_pipeline_throughput/per_frame", 1, kFrames, "frames",
+                per_frame(nullptr));
+      suite.run("frame_pipeline_throughput/per_frame", 8, kFrames, "frames",
+                per_frame(&pool8b));
+      suite.run("frame_pipeline_throughput/streamed_w4", 1, kFrames,
+                "frames", streamed(nullptr));
+      suite.run("frame_pipeline_throughput/streamed_w4", 8, kFrames,
+                "frames", streamed(&pool8b));
+      // Speedups are paired medians: per-frame and window loop timed back
+      // to back in each of 7 rounds.
+      const double speedup8 = bench::Suite::paired_ratio(
+          7, per_frame(&pool8b), streamed(&pool8b));
+      const double speedup1 = bench::Suite::paired_ratio(
+          7, per_frame(nullptr), streamed(nullptr));
       if (sink == 42.0) std::printf("%f", sink);  // defeat DCE
 
-      const double speedup8 = serial8.ns_per_op / stream8.ns_per_op;
-      const double speedup1 = serial1.ns_per_op / stream1.ns_per_op;
       suite.add_summary("frame_pipeline_speedup_8t", speedup8);
       suite.add_summary("frame_pipeline_speedup_1t", speedup1);
       std::printf(

@@ -7,16 +7,16 @@ Fails when:
     (every figure-reproduction bench must be mapped to its paper figure);
   * any `src/<subsystem>/` directory is not mentioned in the docs
     (the layer map must cover every subsystem);
-  * any scenario registered under src/filter/ (add_scenario("name", ...)
-    or register_scenario("name", ...)) is not mentioned in the docs
-    (the scenario suite must stay documented);
-  * any update policy registered under src/autonomy/ (add_policy or
-    register_policy with a string-literal name) is not mentioned in the
-    docs (the wake-up policy suite must stay documented);
-  * any admission policy registered under src/fleet/
-    (add_admission_policy or register_admission_policy with a
-    string-literal name) is not mentioned in the docs, or docs/fleet.md
-    lacks a QoS section (the fleet QoS layer must stay documented);
+  * any built-in scenario registered under src/filter/
+    (add_scenario("name", ...)) is not mentioned in the docs (the
+    scenario suite must stay documented);
+  * any built-in update policy registered under src/autonomy/
+    (add_policy with a string-literal name) is not mentioned in the docs
+    (the wake-up policy suite must stay documented);
+  * any built-in admission policy registered under src/fleet/
+    (add_admission_policy with a string-literal name) is not mentioned
+    in the docs, or docs/fleet.md lacks a QoS section (the fleet QoS
+    layer must stay documented);
   * the backend conformance harness is undocumented: docs/conformance.md
     must exist and the docs must mention tests/conformance;
   * a required doc file is missing.
@@ -51,15 +51,11 @@ SUBSYSTEM_DOCS = {
     "fleet": os.path.join("docs", "fleet.md"),
 }
 
-SCENARIO_RE = re.compile(
-    r'(?:add_scenario|register_scenario)\(\s*"([A-Za-z0-9_]+)"')
+SCENARIO_RE = re.compile(r'add_scenario\(\s*"([A-Za-z0-9_]+)"')
 
-POLICY_RE = re.compile(
-    r'(?:add_policy|register_policy)\(\s*"([A-Za-z0-9_]+)"')
+POLICY_RE = re.compile(r'add_policy\(\s*"([A-Za-z0-9_]+)"')
 
-ADMISSION_RE = re.compile(
-    r'(?:add_admission_policy|register_admission_policy)'
-    r'\(\s*"([A-Za-z0-9_]+)"')
+ADMISSION_RE = re.compile(r'add_admission_policy\(\s*"([A-Za-z0-9_]+)"')
 
 # docs/fleet.md must keep a dedicated QoS section (a heading mentioning
 # QoS), not just scattered mentions of the policy names.

@@ -1,10 +1,11 @@
 // Built-in wake-up policies + the name registry (declared in
-// update_policy.hpp). scripts/check_docs.py greps add_policy /
-// register_policy calls with a string-literal first argument under
-// src/autonomy/ and requires every such name to appear in the docs.
+// update_policy.hpp). scripts/check_docs.py greps add_policy calls with a
+// string-literal first argument under src/autonomy/ and requires every
+// such name to appear in the docs.
 #include "autonomy/update_policy.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "core/error.hpp"
@@ -12,6 +13,13 @@
 
 namespace cimnav::autonomy {
 namespace {
+
+/// The PolicyConfig checks shared by make_update_policy and every reset.
+void require_valid(const PolicyConfig& config) {
+  CIMNAV_REQUIRE(config.decimated_fraction > 0.0 &&
+                     config.decimated_fraction <= 1.0,
+                 "decimated_fraction must lie in (0, 1]");
+}
 
 /// Shared wake logic of the gated built-ins: returns true when this
 /// frame must run a *full* update regardless of cost — the convergence
@@ -47,7 +55,7 @@ class AlwaysPolicy final : public UpdatePolicy {
  public:
   std::string_view name() const override { return "always"; }
   UpdateDecision decide(const FrameSignals&) override { return {}; }
-  bool reset(const PolicyConfig&) override { return true; }  // stateless
+  void reset(const PolicyConfig& cfg) override { require_valid(cfg); }
 };
 
 /// Shared body of the gated built-ins — they differ only in what a
@@ -77,10 +85,10 @@ class GatedPolicy final : public UpdatePolicy {
     return d;
   }
 
-  bool reset(const PolicyConfig& cfg) override {
+  void reset(const PolicyConfig& cfg) override {
+    require_valid(cfg);
     cfg_ = cfg;
     consecutive_saves_ = 0;
-    return true;
   }
 
  private:
@@ -143,11 +151,7 @@ const char* update_action_label(UpdateAction action) {
 
 std::unique_ptr<UpdatePolicy> make_update_policy(std::string_view name,
                                                  const PolicyConfig& config) {
-  CIMNAV_REQUIRE(config.decimated_fraction > 0.0 &&
-                     config.decimated_fraction <= 1.0,
-                 "decimated_fraction must lie in (0, 1]");
-  // NameRegistry::lookup copies the factory out of the critical section
-  // (a registered factory may call back into the registry).
+  require_valid(config);
   return registry().lookup(name)(config);
 }
 
@@ -155,14 +159,6 @@ std::vector<std::string> policy_names() { return registry().names(); }
 
 std::string policy_description(std::string_view name) {
   return registry().description(name);
-}
-
-bool register_policy(std::string name, std::string description,
-                     Factory factory) {
-  CIMNAV_REQUIRE(!name.empty(), "policy name must be non-empty");
-  CIMNAV_REQUIRE(factory != nullptr, "policy factory must be callable");
-  return registry().add(std::move(name), std::move(description),
-                        std::move(factory));
 }
 
 }  // namespace cimnav::autonomy

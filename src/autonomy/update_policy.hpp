@@ -15,8 +15,8 @@
 //
 // Policies are selected by name from a registry mirroring the cimsram
 // backend and filter scenario registries (built-ins "always",
-// "sigma_gate", "decimate"; extension hook register_policy), so benches
-// and examples sweep them by string. A policy instance is created per
+// "sigma_gate", "decimate"), so benches and examples sweep them by
+// string. A policy instance is created per
 // run (make_update_policy) and may keep per-run state (running sigma
 // statistics, consecutive-skip counters); decide() is called once per
 // frame in frame order and must not draw from the run's rng streams —
@@ -30,7 +30,6 @@
 // through energy::macro_stats_energy_j (see bench_fig5_wakeup).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -77,9 +76,7 @@ struct FrameSignals {
 };
 
 /// Shared knobs of the built-in policies. A single config serves all of
-/// them so benches can sweep policies without per-policy plumbing;
-/// out-of-tree policies receive it through their factory and may ignore
-/// it.
+/// them so benches can sweep policies without per-policy plumbing.
 struct PolicyConfig {
   /// Frames at the start of a run that always get a full update (the
   /// convergence transient must not be starved).
@@ -123,17 +120,12 @@ class UpdatePolicy {
   /// Decides what the measurement stage does with this frame.
   virtual UpdateDecision decide(const FrameSignals& signals) = 0;
 
-  /// Re-arms this instance for a fresh run under `config`, returning
-  /// true — or returns false if the policy cannot be reset in place
-  /// (the default), in which case the caller must make a new instance.
-  /// The built-ins support it; session pools (fleet::FleetEngine) use
-  /// it to reuse policy instances without re-entering the registry.
-  /// A successful reset must leave the instance indistinguishable from
-  /// make_update_policy(name(), config).
-  virtual bool reset(const PolicyConfig& config) {
-    (void)config;
-    return false;
-  }
+  /// Re-arms this instance for a fresh run under `config`: afterwards it
+  /// decides exactly as make_update_policy(name(), config) would, and
+  /// rejects `config` just as that would. Session pools
+  /// (vo::OdometrySession, reused by fleet::FleetEngine) re-admit through
+  /// it without re-entering the registry.
+  virtual void reset(const PolicyConfig& config) = 0;
 };
 
 /// Creates a fresh per-run policy instance by registry name; throws
@@ -151,16 +143,7 @@ std::unique_ptr<UpdatePolicy> make_update_policy(
 /// Registered names in registration order (built-ins first).
 std::vector<std::string> policy_names();
 
-/// One-line description of a registered policy (throws on unknown). By
-/// value: a reference into the registry would dangle across a later
-/// register_policy call.
+/// One-line description of a registered policy (throws on unknown).
 std::string policy_description(std::string_view name);
-
-/// Extension hook: registers (or, returning false, replaces) a named
-/// policy. The factory must return a fresh instance per call.
-bool register_policy(
-    std::string name, std::string description,
-    std::function<std::unique_ptr<UpdatePolicy>(const PolicyConfig&)>
-        factory);
 
 }  // namespace cimnav::autonomy

@@ -1,7 +1,5 @@
 #include "bnn/mask_source.hpp"
 
-#include "core/error.hpp"
-
 namespace cimnav::bnn {
 
 SramMaskSource::SramMaskSource(const cimsram::SramRngParams& params,
@@ -16,18 +14,6 @@ SramMaskSource::SramMaskSource(const cimsram::SramRngParams& params,
 bool SramMaskSource::draw(double p_drop) {
   if (p_drop == 0.5) return rng_.next_bit(noise_rng_);
   return rng_.bernoulli(p_drop, 8, noise_rng_);
-}
-
-bool LfsrMaskSource::draw(double p_drop) {
-  CIMNAV_REQUIRE(p_drop >= 0.0 && p_drop <= 1.0, "p must lie in [0, 1]");
-  if (p_drop == 0.5) return lfsr_.next_bit();
-  // Binary-expansion comparison with 8 bits of resolution.
-  double u = 0.0, scale = 0.5;
-  for (int i = 0; i < 8; ++i) {
-    if (lfsr_.next_bit()) u += scale;
-    scale *= 0.5;
-  }
-  return u < p_drop;
 }
 
 }  // namespace cimnav::bnn

@@ -2,8 +2,8 @@
 //
 // The engine is agnostic to where dropout bits come from; the paper's
 // contribution is generating them *inside* the SRAM macro (SramMaskSource
-// wrapping the CCI RNG). A software Bernoulli source and a digital LFSR
-// provide the comparison points used by the RNG-quality bench.
+// wrapping the CCI RNG). A software Bernoulli source is the reference
+// stream.
 #pragma once
 
 #include <memory>
@@ -52,17 +52,6 @@ class SramMaskSource final : public MaskSource {
   core::Rng noise_rng_;
   cimsram::SramRng rng_;
   double initial_bias_ = 0.5;
-};
-
-/// Digital LFSR source (conventional baseline).
-class LfsrMaskSource final : public MaskSource {
- public:
-  explicit LfsrMaskSource(std::uint32_t seed) : lfsr_(seed) {}
-  bool draw(double p_drop) override;
-  const char* name() const override { return "lfsr"; }
-
- private:
-  cimsram::Lfsr lfsr_;
 };
 
 }  // namespace cimnav::bnn

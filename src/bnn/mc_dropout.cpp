@@ -66,18 +66,33 @@ std::uint64_t draw_mask_sets(const std::vector<int>& widths, int iterations,
   return bits_drawn;
 }
 
-/// Rewrites order[begin..end) — currently the identity slice — into the
-/// greedy min-Hamming tour over those visiting positions' locus masks
-/// (mask site 0). Same algorithm and tie-breaks as
-/// greedy_min_hamming_order on the sub-range, but in place and
-/// allocation-free once `used` is warm. Chains order independently, so a
-/// position never migrates across a refresh boundary.
+}  // namespace
+
+double McPrediction::scalar_variance() const {
+  if (variance.empty()) return 0.0;
+  double s = 0.0;
+  for (double v : variance) s += v;
+  return s / static_cast<double>(variance.size());
+}
+
+double McPrediction::component_stddev(std::size_t i) const {
+  CIMNAV_REQUIRE(i < variance.size(), "component index out of range");
+  return std::sqrt(std::max(variance[i], 0.0));
+}
+
+std::uint64_t hamming_distance(const nn::Mask& a, const nn::Mask& b) {
+  CIMNAV_REQUIRE(a.size() == b.size(), "mask size mismatch");
+  std::uint64_t d = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) d += (a[i] != b[i]) ? 1 : 0;
+  return d;
+}
+
 void greedy_order_chain(const std::vector<std::vector<nn::Mask>>& sets,
                         std::size_t begin, std::size_t end,
                         std::vector<std::size_t>& order,
                         std::vector<std::uint8_t>& used) {
   const std::size_t n = end - begin;
-  if (n <= 2) return;  // the greedy tour from element 0 is the identity
+  if (n <= 2) return;  // the greedy tour from `begin` is the identity
   used.assign(n, 0);
   std::size_t current = begin;
   used[0] = 1;
@@ -97,81 +112,6 @@ void greedy_order_chain(const std::vector<std::vector<nn::Mask>>& sets,
     used[best - begin] = 1;
     current = best;
   }
-}
-
-}  // namespace
-
-double McPrediction::scalar_variance() const {
-  if (variance.empty()) return 0.0;
-  double s = 0.0;
-  for (double v : variance) s += v;
-  return s / static_cast<double>(variance.size());
-}
-
-double McPrediction::component_stddev(std::size_t i) const {
-  CIMNAV_REQUIRE(i < variance.size(), "component index out of range");
-  return std::sqrt(std::max(variance[i], 0.0));
-}
-
-McPrediction mc_predict_float(const nn::Mlp& net, const nn::Vector& x,
-                              int iterations, double dropout_p,
-                              MaskSource& masks) {
-  CIMNAV_REQUIRE(iterations >= 1, "need at least one iteration");
-  std::vector<nn::Vector> outs(static_cast<std::size_t>(iterations));
-  for (auto& out : outs) {
-    const auto mask_set =
-        net.sample_masks([&] { return masks.draw(dropout_p); });
-    out = net.forward_masked(x, mask_set);
-  }
-  McPrediction pred;
-  reduce_outputs(outs, static_cast<std::size_t>(net.output_size()), pred);
-  return pred;
-}
-
-std::uint64_t hamming_distance(const nn::Mask& a, const nn::Mask& b) {
-  CIMNAV_REQUIRE(a.size() == b.size(), "mask size mismatch");
-  std::uint64_t d = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) d += (a[i] != b[i]) ? 1 : 0;
-  return d;
-}
-
-std::vector<std::size_t> greedy_min_hamming_order(
-    const std::vector<nn::Mask>& input_masks) {
-  const std::size_t t = input_masks.size();
-  std::vector<std::size_t> order;
-  if (t == 0) return order;
-  order.reserve(t);
-  std::vector<bool> used(t, false);
-  // Start from the densest mask (cheapest first dense evaluation).
-  std::size_t current = 0;
-  order.push_back(current);
-  used[current] = true;
-  for (std::size_t step = 1; step < t; ++step) {
-    std::size_t best = t;
-    std::uint64_t best_d = std::numeric_limits<std::uint64_t>::max();
-    for (std::size_t j = 0; j < t; ++j) {
-      if (used[j]) continue;
-      const std::uint64_t d = hamming_distance(input_masks[current],
-                                               input_masks[j]);
-      if (d < best_d) {
-        best_d = d;
-        best = j;
-      }
-    }
-    order.push_back(best);
-    used[best] = true;
-    current = best;
-  }
-  return order;
-}
-
-std::uint64_t total_hamming(const std::vector<nn::Mask>& input_masks,
-                            const std::vector<std::size_t>& order) {
-  std::uint64_t total = 0;
-  for (std::size_t i = 1; i < order.size(); ++i)
-    total += hamming_distance(input_masks[order[i - 1]],
-                              input_masks[order[i]]);
-  return total;
 }
 
 McPrediction mc_predict_cim(const nn::CimMlp& net, const nn::Vector& x,

@@ -1,15 +1,15 @@
 // Monte-Carlo Dropout inference engine (paper Sec. III-C).
 //
 // Runs T masked forward passes, accumulating per-output mean (the point
-// prediction) and variance (the predictive uncertainty). Three execution
-// paths share one interface:
+// prediction) and variance (the predictive uncertainty). Every iteration
+// runs through the analog macros, on one of two paths behind one
+// interface:
 //
-//  * float     — reference MC-Dropout on the trained Mlp;
-//  * cim       — every iteration through the analog macros;
+//  * cim       — every iteration a dense pass;
 //  * cim+reuse — first-layer compute reuse (P_i = P_{i-1} + Wx|A - Wx|D),
 //                optionally with greedy sample ordering that permutes the
 //                pre-drawn masks to minimize consecutive Hamming distance
-//                and hence the delta workload.
+//                and hence the delta workload (greedy_order_chain).
 #pragma once
 
 #include <cstdint>
@@ -79,11 +79,6 @@ struct McWorkload {
     return *this;
   }
 };
-
-/// Reference float MC-Dropout on the trained network.
-McPrediction mc_predict_float(const nn::Mlp& net, const nn::Vector& x,
-                              int iterations, double dropout_p,
-                              MaskSource& masks);
 
 /// MC-Dropout through the CIM macros. `analog_rng` drives macro noise.
 /// Workload (if non-null) *accumulates* this call's activity delta — the
@@ -167,15 +162,20 @@ struct McWindowJob {
 std::size_t mc_predict_cim_jobs(const nn::CimMlp& net, McWindowJob* jobs,
                                 std::size_t n_jobs, core::ThreadPool* pool);
 
-/// Greedy nearest-neighbour tour over mask sets, keyed by the Hamming
-/// distance of the *input-site* mask (the reuse locus). Returns the
-/// visiting order of the T mask sets.
-std::vector<std::size_t> greedy_min_hamming_order(
-    const std::vector<nn::Mask>& input_masks);
-
-/// Total consecutive Hamming distance of input masks along an order.
-std::uint64_t total_hamming(const std::vector<nn::Mask>& input_masks,
-                            const std::vector<std::size_t>& order);
+/// Greedy min-Hamming sample ordering (MC-CIM): rewrites
+/// order[begin, end) into a nearest-neighbour tour over those visiting
+/// positions of `sets`, keyed by the Hamming distance of mask site 0 (the
+/// reuse locus). order[begin, end) must hold the identity on entry. The
+/// tour starts at `begin` and steps to the nearest unvisited position,
+/// the lowest one on ties. Positions never leave [begin, end), so one
+/// tour per refresh chain keeps every delta inside its chain. `used` is
+/// scratch, allocation-free once warm. mc_predict_cim_jobs runs this for
+/// McOptions::order_samples: per refresh chain with compute_reuse, over
+/// the whole window without it.
+void greedy_order_chain(const std::vector<std::vector<nn::Mask>>& sets,
+                        std::size_t begin, std::size_t end,
+                        std::vector<std::size_t>& order,
+                        std::vector<std::uint8_t>& used);
 
 /// Hamming distance between two equal-length masks.
 std::uint64_t hamming_distance(const nn::Mask& a, const nn::Mask& b);

@@ -113,10 +113,4 @@ bool Lfsr::next_bit() {
   return lsb;
 }
 
-std::vector<std::uint8_t> Lfsr::dropout_mask(std::size_t n) {
-  std::vector<std::uint8_t> mask(n);
-  for (auto& b : mask) b = next_bit() ? 1 : 0;
-  return mask;
-}
-
 }  // namespace cimnav::cimsram

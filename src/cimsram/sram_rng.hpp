@@ -97,7 +97,6 @@ class Lfsr {
   explicit Lfsr(std::uint32_t seed = 0xACE1u);
 
   bool next_bit();
-  std::vector<std::uint8_t> dropout_mask(std::size_t n);
 
  private:
   std::uint32_t state_;

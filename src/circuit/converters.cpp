@@ -43,22 +43,6 @@ double Dac::step() const {
   return (v_max_ - v_min_) / static_cast<double>(levels_ - 1);
 }
 
-LinearAdc::LinearAdc(int bits, double x_min, double x_max)
-    : bits_(bits), levels_(levels_for_bits(bits)), x_min_(x_min), x_max_(x_max) {
-  CIMNAV_REQUIRE(x_max > x_min, "ADC range must be non-empty");
-}
-
-std::uint32_t LinearAdc::encode(double x) const {
-  const double t = (x - x_min_) / (x_max_ - x_min_);
-  return clamp_code(t * static_cast<double>(levels_ - 1), levels_);
-}
-
-double LinearAdc::decode(std::uint32_t code) const {
-  const std::uint32_t c = std::min(code, levels_ - 1);
-  return x_min_ + (x_max_ - x_min_) * static_cast<double>(c) /
-                      static_cast<double>(levels_ - 1);
-}
-
 LogAdc::LogAdc(int bits, double i_min_a, double i_max_a)
     : bits_(bits), levels_(levels_for_bits(bits)) {
   CIMNAV_REQUIRE(i_min_a > 0.0, "log ADC needs a positive lower current");

@@ -3,8 +3,8 @@
 // The paper's likelihood pipeline is: digital coordinates -> DAC -> analog
 // inverter array -> summed current -> logarithmic ADC -> digital
 // log-likelihood. Converters dominate the precision budget, so they are
-// modeled explicitly: uniform quantization for the DAC and linear ADC, and
-// log-domain companding for the log ADC (which is what makes a 4-bit
+// modeled explicitly: uniform quantization for the DAC and log-domain
+// companding for the log ADC (which is what makes a 4-bit
 // conversion usable on a quantity spanning decades).
 #pragma once
 
@@ -37,24 +37,6 @@ class Dac {
   int bits_;
   std::uint32_t levels_;
   double v_min_, v_max_;
-};
-
-/// Uniform analog-to-digital converter over [x_min, x_max].
-class LinearAdc {
- public:
-  LinearAdc(int bits, double x_min, double x_max);
-
-  int bits() const { return bits_; }
-  std::uint32_t levels() const { return levels_; }
-  /// Nearest code; clamps like Dac::encode (NaN encodes to code 0).
-  std::uint32_t encode(double x) const;
-  double decode(std::uint32_t code) const;
-  double quantize(double x) const { return decode(encode(x)); }
-
- private:
-  int bits_;
-  std::uint32_t levels_;
-  double x_min_, x_max_;
 };
 
 /// Logarithmic ADC for currents spanning [i_min, i_max] (both > 0).

@@ -50,10 +50,6 @@ class Mosfet {
   /// `v_gs` is V_GS for NMOS or V_SG for PMOS (both positive-on).
   double drain_current(double v_gs) const;
 
-  /// Inverse query: gate drive that yields the given current (bisection on
-  /// the monotone I-V law). Requires i > 0.
-  double gate_voltage_for_current(double i_a) const;
-
   const MosfetParams& params() const { return params_; }
 
  private:

@@ -1,16 +1,17 @@
-// Shared name -> value registry behind the three string-selectable
-// extension seams (cimsram compute backends, filter scenarios, autonomy
-// update policies). One contract, pinned by tests/test_registries.cpp:
+// Shared name -> value registry behind the four string-selectable seams:
+// cimsram compute backends, filter scenarios, autonomy update policies
+// and fleet admission policies. Only the backend registry takes entries
+// from outside its own file (cimsram::register_backend; the conformance
+// suite substitutes broken backends through it); the other three hold
+// their built-ins. One contract, pinned by tests/test_registries.cpp:
 //
 //   * lookup of an unknown name throws std::invalid_argument whose
 //     message names the offender AND lists every registered name;
 //   * add() of an existing name replaces the mapping in place and
 //     returns false (first registrations return true) — sweep order is
 //     insertion order and never grows a duplicate;
-//   * lookup() hands back a *copy* of the value taken inside the lock
-//     and lets the caller invoke it outside — a factory that re-enters
-//     the registry (e.g. a derived scenario built from a built-in) must
-//     not deadlock on the non-recursive mutex.
+//   * lookup() hands back a *copy* of the value taken inside the lock,
+//     so callers invoke a factory outside the non-recursive mutex.
 //
 // The registry is thread-safe; values are typically factories
 // (std::function) or raw pointers to process-lifetime singletons.

@@ -25,10 +25,6 @@ double RunningStats::variance() const {
   return n_ > 0 ? m2_ / static_cast<double>(n_) : 0.0;
 }
 
-double RunningStats::sample_variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 double pearson_correlation(const std::vector<double>& x,
@@ -115,33 +111,6 @@ LinearFit linear_fit(const std::vector<double>& x,
   f.intercept = my - f.slope * mx;
   f.r2 = syy > 0.0 ? (sxy * sxy) / (sxx * syy) : 1.0;
   return f;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  CIMNAV_REQUIRE(hi > lo, "histogram range must be non-empty");
-  CIMNAV_REQUIRE(bins > 0, "histogram needs at least one bin");
-}
-
-void Histogram::add(double x) {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::ptrdiff_t>(t * static_cast<double>(bins()));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(bins()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_center(std::size_t i) const {
-  const double w = (hi_ - lo_) / static_cast<double>(bins());
-  return lo_ + (static_cast<double>(i) + 0.5) * w;
-}
-
-double Histogram::density(std::size_t i) const {
-  if (total_ == 0) return 0.0;
-  const double w = (hi_ - lo_) / static_cast<double>(bins());
-  return static_cast<double>(counts_.at(i)) /
-         (static_cast<double>(total_) * w);
 }
 
 }  // namespace cimnav::core

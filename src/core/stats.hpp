@@ -1,6 +1,6 @@
 // Statistics utilities used by the benches and the uncertainty analyses:
-// streaming moments (Welford), correlation coefficients, quantiles,
-// histograms, and simple least-squares fits.
+// streaming moments (Welford), correlation coefficients, quantiles and
+// simple least-squares fits.
 #pragma once
 
 #include <cstddef>
@@ -18,8 +18,6 @@ class RunningStats {
   double mean() const { return n_ > 0 ? mean_ : 0.0; }
   /// Population variance (divide by n). Zero for fewer than 1 sample.
   double variance() const;
-  /// Sample variance (divide by n-1). Zero for fewer than 2 samples.
-  double sample_variance() const;
   double stddev() const;
   double min() const { return min_; }
   double max() const { return max_; }
@@ -62,25 +60,5 @@ struct LinearFit {
 };
 LinearFit linear_fit(const std::vector<double>& x,
                      const std::vector<double>& y);
-
-/// Fixed-width histogram over [lo, hi) with `bins` buckets; values outside
-/// the range are clamped into the first/last bucket.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double bin_center(std::size_t i) const;
-  /// Normalized density estimate for bucket i (integrates to ~1).
-  double density(std::size_t i) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace cimnav::core

@@ -60,28 +60,4 @@ void Table::print(std::ostream& os) const {
   for (const auto& row : formatted) emit(row);
 }
 
-namespace {
-std::string csv_escape(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char ch : s) {
-    if (ch == '"') out += '"';
-    out += ch;
-  }
-  out += '"';
-  return out;
-}
-}  // namespace
-
-void Table::print_csv(std::ostream& os) const {
-  for (std::size_t c = 0; c < headers_.size(); ++c)
-    os << csv_escape(headers_[c]) << (c + 1 < headers_.size() ? "," : "");
-  os << '\n';
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < row.size(); ++c)
-      os << csv_escape(format_cell(row[c])) << (c + 1 < row.size() ? "," : "");
-    os << '\n';
-  }
-}
-
 }  // namespace cimnav::core

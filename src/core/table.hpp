@@ -14,7 +14,7 @@ namespace cimnav::core {
 using Cell = std::variant<std::string, double>;
 
 /// Column-aligned table builder. Rows may be added incrementally; printing
-/// pads each column to its widest cell. Also exports CSV.
+/// pads each column to its widest cell.
 class Table {
  public:
   explicit Table(std::vector<std::string> headers);
@@ -30,9 +30,6 @@ class Table {
 
   /// Pretty-prints with column alignment and a separator rule.
   void print(std::ostream& os) const;
-
-  /// Emits RFC-4180-ish CSV (quotes only when needed).
-  void print_csv(std::ostream& os) const;
 
 
  private:

@@ -113,13 +113,6 @@ struct Mat3 {
     return r;
   }
 
-  Mat3 transposed() const {
-    Mat3 r;
-    for (int i = 0; i < 3; ++i)
-      for (int j = 0; j < 3; ++j) r(i, j) = (*this)(j, i);
-    return r;
-  }
-
   friend constexpr bool operator==(const Mat3&, const Mat3&) = default;
 };
 

@@ -4,7 +4,6 @@
 // backend, reporting position/yaw error per measurement step.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -201,13 +200,6 @@ ScenarioConfig make_scenario_config(std::string_view name);
 std::vector<std::string> scenario_names();
 
 /// One-line description of a registered scenario (throws on unknown).
-/// By value: a reference into the registry would dangle across a later
-/// register_scenario call.
 std::string scenario_description(std::string_view name);
-
-/// Extension hook: registers (or, returning false, replaces) a named
-/// scenario. The factory must be pure — same config every call.
-bool register_scenario(std::string name, std::string description,
-                       std::function<ScenarioConfig()> factory);
 
 }  // namespace cimnav::filter

@@ -6,9 +6,9 @@
 // (|delta_pos| <~ 0.15 m, |delta_yaw| <~ 0.16 rad per step).
 #include "filter/scenario.hpp"
 
+#include <functional>
 #include <utility>
 
-#include "core/error.hpp"
 #include "core/name_registry.hpp"
 
 namespace cimnav::filter {
@@ -97,9 +97,9 @@ using ScenarioRegistry = core::NameRegistry<std::function<ScenarioConfig()>>;
 
 ScenarioRegistry& registry() {
   static ScenarioRegistry r("scenario");
-  // Built-in registrations. scripts/check_docs.py greps add_scenario /
-  // register_scenario calls with a string-literal first argument under
-  // src/filter/ and requires every such name to appear in the docs.
+  // Built-in registrations. scripts/check_docs.py greps add_scenario calls
+  // with a string-literal first argument under src/filter/ and requires
+  // every such name to appear in the docs.
   static const bool built_ins = [&] {
     const auto add_scenario = [&](const char* name, const char* description,
                                   std::function<ScenarioConfig()> factory) {
@@ -134,9 +134,6 @@ ScenarioRegistry& registry() {
 }  // namespace
 
 ScenarioConfig make_scenario_config(std::string_view name) {
-  // NameRegistry::lookup copies the factory out of the critical section;
-  // invoking it here keeps re-entrant factories (a derived scenario
-  // starting from make_scenario_config of a built-in) deadlock-free.
   return registry().lookup(name)();
 }
 
@@ -144,14 +141,6 @@ std::vector<std::string> scenario_names() { return registry().names(); }
 
 std::string scenario_description(std::string_view name) {
   return registry().description(name);
-}
-
-bool register_scenario(std::string name, std::string description,
-                       std::function<ScenarioConfig()> factory) {
-  CIMNAV_REQUIRE(!name.empty(), "scenario name must be non-empty");
-  CIMNAV_REQUIRE(factory != nullptr, "scenario factory must be callable");
-  return registry().add(std::move(name), std::move(description),
-                        std::move(factory));
 }
 
 }  // namespace cimnav::filter

@@ -1,7 +1,7 @@
 // Built-in admission policies + the name registry (declared in
-// fleet/qos.hpp). scripts/check_docs.py greps add_admission_policy /
-// register_admission_policy calls with a string-literal first argument
-// under src/fleet/ and requires every such name to appear in the docs.
+// fleet/qos.hpp). scripts/check_docs.py greps add_admission_policy calls
+// with a string-literal first argument under src/fleet/ and requires
+// every such name to appear in the docs.
 //
 // All four built-ins share one shape: copy the view pointers into a
 // member scratch vector, std::sort (in-place — std::stable_sort
@@ -12,10 +12,10 @@
 #include "fleet/qos.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <utility>
 
-#include "core/error.hpp"
 #include "core/name_registry.hpp"
 
 namespace cimnav::fleet {
@@ -196,23 +196,7 @@ AdmissionRegistry& registry() {
 
 std::unique_ptr<AdmissionPolicy> make_admission_policy(
     std::string_view name) {
-  // NameRegistry::lookup copies the factory out of the critical section
-  // (a registered factory may call back into the registry).
   return registry().lookup(name)();
-}
-
-std::vector<std::string> admission_policy_names() {
-  return registry().names();
-}
-
-bool register_admission_policy(std::string name, std::string description,
-                               Factory factory) {
-  CIMNAV_REQUIRE(!name.empty(),
-                 "admission policy name must be non-empty");
-  CIMNAV_REQUIRE(factory != nullptr,
-                 "admission policy factory must be callable");
-  return registry().add(std::move(name), std::move(description),
-                        std::move(factory));
 }
 
 }  // namespace cimnav::fleet

@@ -43,7 +43,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -192,14 +191,5 @@ struct DispatchEvent {
 /// std::invalid_argument for unknown names, listing the known ones.
 std::unique_ptr<AdmissionPolicy> make_admission_policy(
     std::string_view name);
-
-/// Registered names in registration order (built-ins first).
-std::vector<std::string> admission_policy_names();
-
-/// Extension hook: registers (or, returning false, replaces) a named
-/// policy. The factory must return a fresh instance per call.
-bool register_admission_policy(
-    std::string name, std::string description,
-    std::function<std::unique_ptr<AdmissionPolicy>()> factory);
 
 }  // namespace cimnav::fleet

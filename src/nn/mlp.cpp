@@ -127,38 +127,6 @@ Vector Mlp::forward(const Vector& x) const {
   return a;
 }
 
-Vector Mlp::forward_masked(const Vector& x,
-                           const std::vector<Mask>& masks) const {
-  CIMNAV_REQUIRE(x.size() == static_cast<std::size_t>(input_size()),
-                 "input size mismatch");
-  CIMNAV_REQUIRE(masks.size() ==
-                     static_cast<std::size_t>(dropout_site_count()),
-                 "mask count mismatch");
-  const double keep_scale = 1.0 / (1.0 - config_.dropout_p);
-  std::size_t site = 0;
-  Vector a = x;
-  if (config_.dropout_on_input) {
-    const Mask& m = masks[site++];
-    CIMNAV_REQUIRE(m.size() == a.size(), "input mask size mismatch");
-    for (std::size_t i = 0; i < a.size(); ++i)
-      a[i] = m[i] ? a[i] * keep_scale : 0.0;
-  }
-  for (int l = 0; l < layer_count(); ++l) {
-    Vector z = weights_[static_cast<std::size_t>(l)].matvec(a);
-    const Vector& b = biases_[static_cast<std::size_t>(l)];
-    for (std::size_t i = 0; i < z.size(); ++i) z[i] += b[i];
-    if (l + 1 < layer_count()) {
-      for (double& v : z) v = relu(v);
-      const Mask& m = masks[site++];
-      CIMNAV_REQUIRE(m.size() == z.size(), "hidden mask size mismatch");
-      for (std::size_t i = 0; i < z.size(); ++i)
-        z[i] = m[i] ? z[i] * keep_scale : 0.0;
-    }
-    a = std::move(z);
-  }
-  return a;
-}
-
 double Mlp::train_epoch(const std::vector<Vector>& inputs,
                         const std::vector<Vector>& targets,
                         const TrainOptions& opt, core::Rng& rng,

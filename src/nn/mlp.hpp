@@ -3,9 +3,9 @@
 // This is the regression model of the Bayesian VO pipeline (paper
 // Sec. III): dropout applied at the input and after every hidden layer,
 // with the usual "inverted" scaling so that the expected forward pass is
-// mask-independent. At inference the same masked forward is reused for
-// MC-Dropout sampling (Gal & Ghahramani: dropout at test time realizes
-// approximate variational inference).
+// mask-independent. At inference nn::CimMlp runs the same masked forward
+// on the CIM macros for MC-Dropout sampling (Gal & Ghahramani: dropout at
+// test time realizes approximate variational inference).
 #pragma once
 
 #include <functional>
@@ -56,13 +56,6 @@ class Mlp {
 
   /// Deterministic forward pass (no dropout; the "classical" network).
   Vector forward(const Vector& x) const;
-
-  /// Masked forward pass for MC-Dropout. `masks` holds one mask per
-  /// dropout site: masks[0] over the input (if enabled), then one per
-  /// hidden layer, each applied to the post-activation vector with
-  /// inverted-dropout scaling 1/(1-p).
-  Vector forward_masked(const Vector& x,
-                        const std::vector<Mask>& masks) const;
 
   /// Number of dropout sites (size expected of `masks`).
   int dropout_site_count() const;

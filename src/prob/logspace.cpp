@@ -15,12 +15,6 @@ double log_sum_exp(const std::vector<double>& v) {
   return m + std::log(s);
 }
 
-double log_add(double a, double b) {
-  if (a < b) std::swap(a, b);
-  if (!std::isfinite(a)) return a;
-  return a + std::log1p(std::exp(b - a));
-}
-
 std::vector<double> normalize_log_weights(const std::vector<double>& logw) {
   std::vector<double> w(logw.size(), 0.0);
   if (logw.empty()) return w;

@@ -8,9 +8,6 @@ namespace cimnav::prob {
 /// log(sum_i exp(v[i])) computed stably; -inf for empty input.
 double log_sum_exp(const std::vector<double>& v);
 
-/// log(exp(a) + exp(b)) computed stably.
-double log_add(double a, double b);
-
 /// Normalizes log-weights in place to sum to one in linear space and
 /// returns the linear weights. Handles all -inf by returning uniform.
 std::vector<double> normalize_log_weights(const std::vector<double>& logw);

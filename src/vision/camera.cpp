@@ -20,12 +20,8 @@ CameraIntrinsics CameraIntrinsics::kinect_like(int width, int height) {
   return k;
 }
 
-core::Vec3 body_to_camera(const core::Vec3& b) {
-  // camera x = -body y (right), camera y = -body z (down), camera z = body x.
-  return {-b.y, -b.z, b.x};
-}
-
 core::Vec3 camera_to_body(const core::Vec3& c) {
+  // body x = camera z (forward), body y = -camera x, body z = -camera y.
   return {c.z, -c.x, -c.y};
 }
 

@@ -34,8 +34,8 @@ struct DepthPixel {
   double depth_m = 0.0;  ///< along the camera z axis
 };
 
-/// Converts a body-frame point to camera frame and back.
-core::Vec3 body_to_camera(const core::Vec3& body);
+/// Converts a camera-frame point (x right, y down, z optical axis) to the
+/// body frame (x forward, y left, z up).
 core::Vec3 camera_to_body(const core::Vec3& camera);
 
 /// Applies the rigid camera-mount pitch (positive pitches the optical axis

@@ -70,29 +70,4 @@ void ObservationModel::observe_into(const core::Pose& pose, core::Rng& rng,
   }
 }
 
-nn::Vector ObservationModel::observe_clean(const core::Pose& pose) const {
-  nn::Vector f;
-  f.reserve(static_cast<std::size_t>(feature_size()));
-  for (const auto& lm : landmarks_) {
-    const core::Vec3 body = pose.inverse_transform(lm);
-    if (body.norm() > max_range_m_) {
-      f.push_back(0.5);
-      f.push_back(0.5);
-      f.push_back(0.5);
-      continue;
-    }
-    f.push_back(squash(body.x, kSoftness));
-    f.push_back(squash(body.y, kSoftness));
-    f.push_back(squash(body.z, kSoftness));
-  }
-  return f;
-}
-
-int ObservationModel::visible_count(const core::Pose& pose) const {
-  int n = 0;
-  for (const auto& lm : landmarks_)
-    if (pose.inverse_transform(lm).norm() <= max_range_m_) ++n;
-  return n;
-}
-
 }  // namespace cimnav::vo

@@ -49,12 +49,6 @@ class ObservationModel {
   void observe_into(const core::Pose& pose, core::Rng& rng,
                     nn::Vector& out) const;
 
-  /// Noise-free observation (tests).
-  nn::Vector observe_clean(const core::Pose& pose) const;
-
-  /// Number of landmarks within range from `pose` (difficulty probe).
-  int visible_count(const core::Pose& pose) const;
-
  private:
   std::vector<core::Vec3> landmarks_;
   double noise_sigma_;

@@ -51,9 +51,10 @@ void OdometrySession::begin(const filter::LocalizationScenario& scenario,
   // pre-policy loop's draws, the bit-identity contract bench_fig5_wakeup
   // probes. Reset-in-place keeps re-admission out of the registry (and
   // off the heap) when the name is unchanged.
-  if (policy_ == nullptr || policy_->name() != config.policy ||
-      !policy_->reset(config.policy_cfg))
+  if (policy_ == nullptr || policy_->name() != config.policy)
     policy_ = autonomy::make_update_policy(config.policy, config.policy_cfg);
+  else
+    policy_->reset(config.policy_cfg);
 
   if (pf_ == nullptr || !same_filter_config(pf_cfg_, pf_cfg)) {
     pf_ = std::make_unique<filter::ParticleFilter>(pf_cfg);

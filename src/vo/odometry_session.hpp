@@ -46,8 +46,8 @@ class OdometrySession {
   /// Rebinds the session to a workload and rearms all per-run state.
   /// The borrowed scenario/vo/net/model must outlive the session's run.
   /// Reuses the particle filter (when the effective filter config is
-  /// unchanged), the policy instance (when the registry name matches and
-  /// the policy supports reset) and every buffer — after the first run
+  /// unchanged), the policy instance (reset in place when the registry
+  /// name matches) and every buffer — after the first run
   /// of a given shape, begin() performs no heap allocation.
   void begin(const filter::LocalizationScenario& scenario,
              const VoPipeline& vo, const nn::CimMlp& net,

@@ -147,14 +147,6 @@ VoRun VoPipeline::run_float() const {
   });
 }
 
-VoRun VoPipeline::run_quantized(int weight_bits, int activation_bits) const {
-  nn::QuantMlp qnet(*net_, weight_bits, activation_bits, train_inputs_);
-  return evaluate("quant-" + std::to_string(weight_bits) + "b",
-                  [qnet = std::move(qnet)](const nn::Vector& x, double*) {
-                    return qnet.forward(x);
-                  });
-}
-
 std::unique_ptr<nn::CimMlp> VoPipeline::make_cim_network(
     const cimsram::CimMacroConfig& macro) const {
   core::Rng rng(config_.seed + 99);

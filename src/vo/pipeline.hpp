@@ -6,7 +6,6 @@
 // Fig. 3(c-f) compares:
 //
 //   float-det    — full-precision deterministic forward;
-//   quant-Nb     — digital fixed-point deterministic (N-bit);
 //   cim-det-Nb   — CIM-executed deterministic (analog noise + ADC);
 //   cim-mc-Nb    — CIM-executed MC-Dropout (mean prediction + variance).
 //
@@ -27,7 +26,6 @@
 #include "core/vec.hpp"
 #include "nn/cim_mlp.hpp"
 #include "nn/mlp.hpp"
-#include "nn/quant_mlp.hpp"
 #include "vo/observation.hpp"
 #include "vo/trajectory.hpp"
 
@@ -101,8 +99,8 @@ class VoPipeline {
   explicit VoPipeline(const VoPipelineConfig& config);
 
   const VoPipelineConfig& config() const { return config_; }
-  /// The trained float reference network (weights shared by every
-  /// quantized/CIM snapshot).
+  /// The trained float reference network (weights shared by every CIM
+  /// snapshot).
   const nn::Mlp& network() const { return *net_; }
   /// Ground-truth poses of the held-out evaluation trajectory.
   const std::vector<core::Pose>& test_trajectory() const {
@@ -115,9 +113,6 @@ class VoPipeline {
 
   /// Full-precision deterministic reference.
   VoRun run_float() const;
-
-  /// Digital fixed-point deterministic at the given precision.
-  VoRun run_quantized(int weight_bits, int activation_bits) const;
 
   /// CIM-executed deterministic single pass.
   VoRun run_cim_deterministic(const cimsram::CimMacroConfig& macro) const;

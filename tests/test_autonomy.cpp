@@ -1,6 +1,7 @@
 // Tests for the uncertainty-gated wake-up policies: registry behavior,
 // the built-ins' decision logic (warmup, ESS wake, sigma wake, the
-// consecutive-save bound, the step budget), and the action labels.
+// consecutive-save bound, the step budget), reset-in-place, and the
+// action labels.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -32,24 +33,6 @@ TEST(PolicyRegistry, BuiltInsRegisteredInOrder) {
     EXPECT_FALSE(policy_description(n).empty());
     EXPECT_EQ(make_update_policy(n)->name(), n);
   }
-}
-
-TEST(PolicyRegistry, RegisterExtendsAndReplaceReturnsFalse) {
-  // A factory may itself call back into the registry (the lookup copies
-  // the factory out of the critical section).
-  EXPECT_TRUE(register_policy("test_policy", "unit-test policy",
-                              [](const PolicyConfig& cfg) {
-                                return make_update_policy("always", cfg);
-                              }));
-  EXPECT_EQ(policy_description("test_policy"), "unit-test policy");
-  // A duplicate registration is rejected as a *new* entry (returns
-  // false); it replaces the mapping in place instead.
-  EXPECT_FALSE(register_policy("test_policy", "replaced",
-                               [](const PolicyConfig& cfg) {
-                                 return make_update_policy("sigma_gate", cfg);
-                               }));
-  EXPECT_EQ(policy_description("test_policy"), "replaced");
-  EXPECT_EQ(make_update_policy("test_policy")->name(), "sigma_gate");
 }
 
 TEST(PolicyRegistry, UnknownNameListsRegistered) {
@@ -162,12 +145,57 @@ TEST(DecimatePolicy, QuietFramesDecimate) {
   EXPECT_EQ(p->decide(spike).action, UpdateAction::kFull);
 }
 
+/// Mostly quiet frames, with a VO-sigma spike every 7th frame and an ESS
+/// dip every 11th.
+FrameSignals varied_frame(int step) {
+  FrameSignals s = quiet_frame(step);
+  if (step % 7 == 6) s.vo_sigma = 4.0 * s.vo_sigma_mean;
+  if (step % 11 == 10) s.ess_fraction = 0.02;
+  return s;
+}
+
+TEST(PolicyReset, ReArmedInstanceDecidesLikeAFreshOne) {
+  // reset() is the only re-admission path (vo::OdometrySession::begin):
+  // after a run that leaves a save streak open, reset under a different
+  // config must forget the streak and adopt every new knob.
+  PolicyConfig first;
+  first.warmup_frames = 1;
+  first.max_consecutive_saves = 5;
+  PolicyConfig second;
+  second.warmup_frames = 0;
+  second.max_consecutive_saves = 2;
+  second.decimated_fraction = 0.5;
+  second.budget_fraction = 0.6;
+  for (const char* name : {"sigma_gate", "decimate"}) {
+    const auto reused = make_update_policy(name, first);
+    for (int f = 0; f < 12; ++f) reused->decide(quiet_frame(f));
+    reused->reset(second);
+    const auto fresh = make_update_policy(name, second);
+    double equivalents = 0.0;
+    for (int f = 0; f < 40; ++f) {
+      FrameSignals s = varied_frame(f);
+      s.full_update_equivalents = equivalents;
+      const UpdateDecision want = fresh->decide(s);
+      const UpdateDecision got = reused->decide(s);
+      EXPECT_EQ(got.action, want.action) << name << " frame " << f;
+      EXPECT_EQ(got.particle_fraction, want.particle_fraction)
+          << name << " frame " << f;
+      if (want.action == UpdateAction::kFull) equivalents += 1.0;
+      if (want.action == UpdateAction::kDecimated)
+        equivalents += want.particle_fraction;
+    }
+  }
+}
+
 TEST(PolicyConfigValidation, DecimatedFractionBounds) {
   PolicyConfig cfg;
   cfg.decimated_fraction = 0.0;
   EXPECT_THROW(make_update_policy("decimate", cfg), std::invalid_argument);
+  const auto p = make_update_policy("decimate");
+  EXPECT_THROW(p->reset(cfg), std::invalid_argument);
   cfg.decimated_fraction = 1.5;
   EXPECT_THROW(make_update_policy("decimate", cfg), std::invalid_argument);
+  EXPECT_THROW(p->reset(cfg), std::invalid_argument);
 }
 
 TEST(UpdateActionLabel, StableStrings) {

@@ -2,6 +2,7 @@
 // workload accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "bnn/mask_source.hpp"
@@ -10,6 +11,7 @@
 #include "core/rng.hpp"
 #include "core/stats.hpp"
 #include "core/thread_pool.hpp"
+#include "support/mc_reference.hpp"
 
 namespace cimnav::bnn {
 namespace {
@@ -25,31 +27,62 @@ TEST(Hamming, DistanceBasics) {
   EXPECT_THROW(hamming_distance({1}, {1, 0}), std::invalid_argument);
 }
 
+/// One-site mask sets (the locus mask only), as greedy_order_chain reads
+/// them.
+std::vector<std::vector<Mask>> locus_sets(const std::vector<Mask>& masks) {
+  std::vector<std::vector<Mask>> sets;
+  for (const auto& m : masks) sets.push_back({m});
+  return sets;
+}
+
+std::vector<Mask> random_masks(Rng& rng, int count, int width) {
+  std::vector<Mask> masks;
+  for (int t = 0; t < count; ++t) {
+    Mask m(static_cast<std::size_t>(width));
+    for (auto& b : m) b = rng.bernoulli(0.5) ? 1 : 0;
+    masks.push_back(std::move(m));
+  }
+  return masks;
+}
+
+std::vector<std::size_t> identity_order(std::size_t n) {
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  return order;
+}
+
+/// The greedy tour over the whole range.
+std::vector<std::size_t> tour(const std::vector<Mask>& masks) {
+  auto order = identity_order(masks.size());
+  std::vector<std::uint8_t> used;
+  greedy_order_chain(locus_sets(masks), 0, masks.size(), order, used);
+  return order;
+}
+
+/// Sum of consecutive locus-mask Hamming distances along order[b, e).
+std::uint64_t path_flips(const std::vector<Mask>& masks,
+                         const std::vector<std::size_t>& order,
+                         std::size_t b, std::size_t e) {
+  std::uint64_t total = 0;
+  for (std::size_t k = b + 1; k < e; ++k)
+    total += hamming_distance(masks[order[k - 1]], masks[order[k]]);
+  return total;
+}
+
 TEST(Ordering, GreedyNeverWorseThanIdentity) {
   Rng rng(3);
   for (int trial = 0; trial < 20; ++trial) {
-    std::vector<Mask> masks;
-    for (int t = 0; t < 16; ++t) {
-      Mask m(64);
-      for (auto& b : m) b = rng.bernoulli(0.5) ? 1 : 0;
-      masks.push_back(std::move(m));
-    }
-    std::vector<std::size_t> identity(masks.size());
-    for (std::size_t i = 0; i < identity.size(); ++i) identity[i] = i;
-    const auto order = greedy_min_hamming_order(masks);
-    EXPECT_LE(total_hamming(masks, order), total_hamming(masks, identity));
+    const auto masks = random_masks(rng, 16, 64);
+    const auto identity = identity_order(masks.size());
+    const auto order = tour(masks);
+    EXPECT_LE(path_flips(masks, order, 0, masks.size()),
+              path_flips(masks, identity, 0, masks.size()));
   }
 }
 
 TEST(Ordering, GreedyIsAPermutation) {
   Rng rng(5);
-  std::vector<Mask> masks;
-  for (int t = 0; t < 12; ++t) {
-    Mask m(32);
-    for (auto& b : m) b = rng.bernoulli(0.5) ? 1 : 0;
-    masks.push_back(std::move(m));
-  }
-  const auto order = greedy_min_hamming_order(masks);
+  const auto order = tour(random_masks(rng, 12, 32));
   std::vector<bool> seen(order.size(), false);
   for (auto i : order) {
     ASSERT_LT(i, order.size());
@@ -61,6 +94,8 @@ TEST(Ordering, GreedyIsAPermutation) {
 TEST(Ordering, ClusteredMasksOrderWithinClusters) {
   // Two families of masks: all-low and all-high halves. Greedy ordering
   // should traverse one family before jumping to the other exactly once.
+  // Within a family every pair is 2 flips apart and every cross-family
+  // pair 14, so each step is a tie that goes to the lowest position.
   std::vector<Mask> masks;
   for (int t = 0; t < 4; ++t) {
     Mask m(16, 0);
@@ -74,11 +109,56 @@ TEST(Ordering, ClusteredMasksOrderWithinClusters) {
     m[static_cast<std::size_t>(8 + t)] = 0;
     masks.push_back(m);
   }
-  const auto order = greedy_min_hamming_order(masks);
+  const auto order = tour(masks);
   int family_switches = 0;
   for (std::size_t i = 1; i < order.size(); ++i)
     if ((order[i] < 4) != (order[i - 1] < 4)) ++family_switches;
   EXPECT_EQ(family_switches, 1);
+  EXPECT_EQ(order, identity_order(masks.size()));
+}
+
+TEST(Ordering, SubRangeTourStaysInItsChain) {
+  // Refresh chains of 6 over 20 positions (the last chain is short): each
+  // chain's tour permutes only its own positions, starts at the chain
+  // head, leaves every other position untouched, and never adds flips.
+  Rng rng(9);
+  auto masks = random_masks(rng, 20, 24);
+  // Ties inside the middle chain: positions 8 and 10 hold copies of 7's
+  // mask, so every position is equally far from all three.
+  masks[8] = masks[7];
+  masks[10] = masks[7];
+  const auto sets = locus_sets(masks);
+  const std::size_t chain = 6;
+  auto order = identity_order(masks.size());
+  std::vector<std::uint8_t> used;
+  for (std::size_t b = 0; b < masks.size(); b += chain) {
+    const std::size_t e = std::min(b + chain, masks.size());
+    const auto before = order;
+    greedy_order_chain(sets, b, e, order, used);
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      if (k < b || k >= e) {
+        EXPECT_EQ(order[k], before[k]) << "position " << k;
+      }
+    }
+    EXPECT_EQ(order[b], b);
+    std::vector<bool> seen(e - b, false);
+    for (std::size_t k = b; k < e; ++k) {
+      ASSERT_GE(order[k], b);
+      ASSERT_LT(order[k], e);
+      ASSERT_FALSE(seen[order[k] - b]);
+      seen[order[k] - b] = true;
+    }
+    EXPECT_LE(path_flips(masks, order, b, e),
+              path_flips(masks, before, b, e));
+  }
+  // Middle chain [6, 12): the tour reaches the copies at the lowest one
+  // and visits all three back to back (0 flips apart), lowest first.
+  const std::vector<std::size_t> mid(order.begin() + 6, order.begin() + 12);
+  const auto at = static_cast<std::size_t>(
+      std::find(mid.begin(), mid.end(), std::size_t{7}) - mid.begin());
+  ASSERT_LE(at + 2, mid.size() - 1);
+  EXPECT_EQ(mid[at + 1], 8u);
+  EXPECT_EQ(mid[at + 2], 10u);
 }
 
 TEST(McPrediction, ScalarVarianceIsMeanOfVariances) {
@@ -115,7 +195,7 @@ class McFixture : public ::testing::Test {
 TEST_F(McFixture, FloatMcMeanNearDeterministic) {
   SoftwareMaskSource masks(Rng{11});
   const Vector x{0.4, 0.6, 0.2};
-  const auto pred = mc_predict_float(net_, x, 500, 0.3, masks);
+  const auto pred = oracle::mc_predict_float(net_, x, 500, 0.3, masks);
   EXPECT_EQ(pred.samples, 500);
   EXPECT_NEAR(pred.mean[0], net_.forward(x)[0], 0.1);
   EXPECT_GT(pred.variance[0], 0.0);
@@ -123,12 +203,24 @@ TEST_F(McFixture, FloatMcMeanNearDeterministic) {
 
 TEST_F(McFixture, VarianceShrinksConvergesWithIterations) {
   // The MC estimate of the mean stabilizes as T grows.
+  std::vector<Vector> calib;
+  Rng crng(13);
+  for (int i = 0; i < 20; ++i)
+    calib.push_back({crng.uniform(), crng.uniform(), crng.uniform()});
+  cimsram::CimMacroConfig mc;
+  mc.analog_noise = false;
+  Rng nrng(17);
+  const nn::CimMlp cim(net_, mc, calib, nrng);
   const Vector x{0.4, 0.6, 0.2};
   auto spread_at = [&](int T) {
     core::RunningStats s;
     for (int rep = 0; rep < 12; ++rep) {
       SoftwareMaskSource masks(Rng{static_cast<std::uint64_t>(100 + rep)});
-      s.add(mc_predict_float(net_, x, T, 0.3, masks).mean[0]);
+      McOptions opt;
+      opt.iterations = T;
+      opt.dropout_p = 0.3;
+      Rng arng(23);
+      s.add(mc_predict_cim(cim, x, opt, masks, arng).mean[0]);
     }
     return s.stddev();
   };
@@ -155,7 +247,7 @@ TEST_F(McFixture, CimPredictionMatchesFloatMc) {
   const Vector x{0.4, 0.6, 0.2};
   const auto pred = mc_predict_cim(cim, x, opt, masks, arng);
   SoftwareMaskSource masks2(Rng{19});
-  const auto ref = mc_predict_float(net_, x, 300, 0.3, masks2);
+  const auto ref = oracle::mc_predict_float(net_, x, 300, 0.3, masks2);
   EXPECT_NEAR(pred.mean[0], ref.mean[0], 0.08);
 }
 
@@ -340,13 +432,6 @@ TEST(MaskSources, SoftwareMatchesProbability) {
   int drops = 0;
   for (int i = 0; i < 20000; ++i) drops += src.draw(0.3) ? 1 : 0;
   EXPECT_NEAR(drops / 20000.0, 0.3, 0.02);
-}
-
-TEST(MaskSources, LfsrBalancedAtHalf) {
-  LfsrMaskSource src(0xBEEF);
-  int drops = 0;
-  for (int i = 0; i < 20000; ++i) drops += src.draw(0.5) ? 1 : 0;
-  EXPECT_NEAR(drops / 20000.0, 0.5, 0.03);
 }
 
 TEST(MaskSources, SramSourceCalibratesAndDraws) {

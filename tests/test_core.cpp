@@ -60,15 +60,15 @@ TEST(Mat3, RotationZQuarterTurn) {
   EXPECT_NEAR(r.z, 0.0, 1e-12);
 }
 
-TEST(Mat3, RotationComposesAndTransposes) {
+TEST(Mat3, RotationComposesAndInverts) {
   const Mat3 a = Mat3::rotation_z(0.3), b = Mat3::rotation_z(0.5);
   const Mat3 ab = a * b;
   const Vec3 v{1, 2, 3};
   const Vec3 direct = Mat3::rotation_z(0.8) * v;
   const Vec3 composed = ab * v;
   EXPECT_NEAR((direct - composed).norm(), 0.0, 1e-12);
-  // R^T is the inverse rotation.
-  const Vec3 back = a.transposed() * (a * v);
+  // R(-a) undoes R(a).
+  const Vec3 back = Mat3::rotation_z(-0.3) * (a * v);
   EXPECT_NEAR((back - v).norm(), 0.0, 1e-12);
 }
 
@@ -229,7 +229,6 @@ TEST(RunningStats, MatchesDirectComputation) {
   double var = 0.0;
   for (double x : xs) var += (x - 6.2) * (x - 6.2);
   EXPECT_NEAR(s.variance(), var / 5.0, 1e-12);
-  EXPECT_NEAR(s.sample_variance(), var / 4.0, 1e-12);
   EXPECT_DOUBLE_EQ(s.min(), 1.0);
   EXPECT_DOUBLE_EQ(s.max(), 16.0);
 }
@@ -241,7 +240,6 @@ TEST(RunningStats, EmptyAndSingle) {
   s.add(5.0);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.sample_variance(), 0.0);
 }
 
 TEST(Correlation, PerfectLinear) {
@@ -297,21 +295,7 @@ TEST(LinearFit, RecoversLine) {
   EXPECT_NEAR(f.r2, 1.0, 1e-9);
 }
 
-TEST(Histogram, CountsAndDensity) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(0.5 + (i % 10));
-  EXPECT_EQ(h.total(), 100u);
-  for (std::size_t b = 0; b < 10; ++b) EXPECT_EQ(h.bin_count(b), 10u);
-  EXPECT_NEAR(h.density(3), 0.1 / 1.0, 1e-12);
-  EXPECT_NEAR(h.bin_center(0), 0.5, 1e-12);
-  // Out-of-range values clamp into edge bins.
-  h.add(-5.0);
-  h.add(50.0);
-  EXPECT_EQ(h.bin_count(0), 11u);
-  EXPECT_EQ(h.bin_count(9), 11u);
-}
-
-TEST(Table, AlignedPrintAndCsv) {
+TEST(Table, AlignedPrint) {
   Table t({"name", "value"});
   t.set_precision(2);
   t.add_row({std::string("alpha"), 1.5});
@@ -321,17 +305,6 @@ TEST(Table, AlignedPrintAndCsv) {
   const std::string out = os.str();
   EXPECT_NE(out.find("alpha"), std::string::npos);
   EXPECT_NE(out.find("22.12"), std::string::npos);
-  std::ostringstream csv;
-  t.print_csv(csv);
-  EXPECT_NE(csv.str().find("alpha,1.50"), std::string::npos);
-}
-
-TEST(Table, CsvEscaping) {
-  Table t({"a"});
-  t.add_row({std::string("x,y\"z")});
-  std::ostringstream csv;
-  t.print_csv(csv);
-  EXPECT_NE(csv.str().find("\"x,y\"\"z\""), std::string::npos);
 }
 
 TEST(Table, RowLengthChecked) {

@@ -718,21 +718,6 @@ TEST(ScenarioRegistry, ConfigsPairLayoutsAndTrajectories) {
             make_scenario_config("warehouse_symmetry").filter.particle_count);
 }
 
-TEST(ScenarioRegistry, RegisterExtendsAndReplaceReturnsFalse) {
-  EXPECT_TRUE(register_scenario("test_tiny", "unit-test scenario", [] {
-    ScenarioConfig cfg;
-    cfg.trajectory_steps = 3;
-    return cfg;
-  }));
-  EXPECT_EQ(make_scenario_config("test_tiny").trajectory_steps, 3);
-  EXPECT_FALSE(register_scenario("test_tiny", "replaced", [] {
-    ScenarioConfig cfg;
-    cfg.trajectory_steps = 5;
-    return cfg;
-  }));
-  EXPECT_EQ(make_scenario_config("test_tiny").trajectory_steps, 5);
-}
-
 TEST(ScenarioTrajectories, RoundedSquareClosesItsLoop) {
   Rng scene_rng(11);
   const auto scene =

@@ -234,9 +234,12 @@ TEST(Camera, RejectsBehindAndOutside) {
   EXPECT_FALSE(vision::project(k, {10, 0, 1}).has_value());
 }
 
-TEST(Camera, BodyCameraFramesRoundTrip) {
-  const Vec3 b{1, 2, 3};
-  EXPECT_EQ(vision::camera_to_body(vision::body_to_camera(b)), b);
+TEST(Camera, CameraAxesMapToBodyAxes) {
+  // Optical axis -> forward, image right -> body right (-y), image down
+  // -> body down (-z).
+  EXPECT_EQ(vision::camera_to_body({0, 0, 1}), Vec3(1, 0, 0));
+  EXPECT_EQ(vision::camera_to_body({1, 0, 0}), Vec3(0, -1, 0));
+  EXPECT_EQ(vision::camera_to_body({0, 1, 0}), Vec3(0, 0, -1));
 }
 
 TEST(Camera, MountPitchTipsForwardAxisDown) {

@@ -1,5 +1,5 @@
 // Unit tests for the neural-network stack: matrix ops, MLP training,
-// quantized inference, CIM-executed inference and compute reuse.
+// CIM-executed inference and compute reuse.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -12,8 +12,8 @@
 #include "core/thread_pool.hpp"
 #include "nn/cim_mlp.hpp"
 #include "nn/mlp.hpp"
-#include "nn/quant_mlp.hpp"
 #include "nn/tensor.hpp"
+#include "support/mc_reference.hpp"
 
 namespace cimnav::nn {
 namespace {
@@ -73,22 +73,6 @@ TEST(Mlp, DropoutSiteAccounting) {
   EXPECT_EQ(with_input.dropout_site_width(0), 4);
 }
 
-TEST(Mlp, AllOnesMaskEqualsScaledForward) {
-  // With every neuron kept, the masked forward is the deterministic
-  // forward scaled by keep_scale at each site (inverted dropout).
-  Rng rng(7);
-  MlpConfig cfg = small_config(0.5, false);
-  const Mlp net(cfg, rng);
-  const Vector x{0.3, 0.1, 0.9, 0.5};
-  std::vector<Mask> ones;
-  for (int s = 0; s < net.dropout_site_count(); ++s)
-    ones.emplace_back(static_cast<std::size_t>(net.dropout_site_width(s)), 1);
-  const Vector masked = net.forward_masked(x, ones);
-  ASSERT_EQ(masked.size(), 2u);
-  // Not equal to plain forward (scaling), but finite and deterministic.
-  EXPECT_TRUE(std::isfinite(masked[0]));
-}
-
 TEST(Mlp, MaskedForwardExpectationExactForLinearNet) {
   // For a single weight layer (no ReLU between dropout and output),
   // inverted dropout makes E[masked forward] equal the deterministic
@@ -107,7 +91,7 @@ TEST(Mlp, MaskedForwardExpectationExactForLinearNet) {
   for (int t = 0; t < T; ++t) {
     const auto masks =
         net.sample_masks([&] { return mrng.bernoulli(0.3); });
-    const Vector y = net.forward_masked(x, masks);
+    const Vector y = oracle::forward_masked(net, x, masks);
     for (std::size_t i = 0; i < y.size(); ++i) mean[i] += y[i] / T;
   }
   for (std::size_t i = 0; i < mean.size(); ++i)
@@ -127,7 +111,7 @@ TEST(Mlp, MaskedForwardExpectationApproximatesForwardThroughRelu) {
   for (int t = 0; t < T; ++t) {
     const auto masks =
         net.sample_masks([&] { return mrng.bernoulli(0.3); });
-    const Vector y = net.forward_masked(x, masks);
+    const Vector y = oracle::forward_masked(net, x, masks);
     for (std::size_t i = 0; i < y.size(); ++i) mean[i] += y[i] / T;
   }
   for (std::size_t i = 0; i < mean.size(); ++i)
@@ -421,33 +405,6 @@ class TrainedFixture : public ::testing::Test {
   std::vector<Vector> inputs_, targets_;
 };
 
-TEST_F(TrainedFixture, QuantErrorDecreasesWithBits) {
-  auto mse_of = [&](int bits) {
-    const QuantMlp q(net_, bits, bits, inputs_);
-    double total = 0.0;
-    for (std::size_t i = 0; i < 100; ++i) {
-      const Vector ref = net_.forward(inputs_[i]);
-      const Vector y = q.forward(inputs_[i]);
-      for (std::size_t k = 0; k < y.size(); ++k)
-        total += (y[k] - ref[k]) * (y[k] - ref[k]);
-    }
-    return total;
-  };
-  const double e4 = mse_of(4), e6 = mse_of(6), e8 = mse_of(8);
-  EXPECT_GT(e4, e6);
-  EXPECT_GT(e6, e8);
-}
-
-TEST_F(TrainedFixture, QuantAtHighBitsMatchesFloat) {
-  const QuantMlp q(net_, 12, 12, inputs_);
-  for (std::size_t i = 0; i < 50; ++i) {
-    const Vector ref = net_.forward(inputs_[i]);
-    const Vector y = q.forward(inputs_[i]);
-    for (std::size_t k = 0; k < y.size(); ++k)
-      EXPECT_NEAR(y[k], ref[k], 0.02);
-  }
-}
-
 TEST_F(TrainedFixture, CimIdealTracksFloat) {
   cimsram::CimMacroConfig mc;
   mc.input_bits = 8;
@@ -475,7 +432,7 @@ TEST_F(TrainedFixture, CimMaskedMatchesReferenceMasked) {
   const CimMlp cim(net_, mc, inputs_, crng);
   Rng mrng(41);
   const auto masks = net_.sample_masks([&] { return mrng.bernoulli(0.2); });
-  const Vector ref = net_.forward_masked(inputs_[0], masks);
+  const Vector ref = oracle::forward_masked(net_, inputs_[0], masks);
   const Vector y = dense_frame(cim, inputs_[0], {masks}, 43)[0];
   for (std::size_t k = 0; k < y.size(); ++k)
     EXPECT_NEAR(y[k], ref[k], 0.12);

@@ -1,12 +1,11 @@
 // Unit tests for the probability substrate: Gaussians, GMM/HMGM fitting,
-// the HMG kernel's geometry (rectilinear tails), divergences.
+// the HMG kernel's geometry (rectilinear tails).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/rng.hpp"
 #include "core/stats.hpp"
-#include "prob/divergence.hpp"
 #include "prob/gaussian.hpp"
 #include "prob/gmm.hpp"
 #include "prob/hmg.hpp"
@@ -26,11 +25,6 @@ TEST(LogSpace, LogSumExpBasics) {
   // Stability: huge magnitudes must not overflow.
   EXPECT_NEAR(log_sum_exp({1000.0, 1000.0}), 1000.0 + std::log(2.0), 1e-9);
   EXPECT_NEAR(log_sum_exp({-1000.0, -1000.0}), -1000.0 + std::log(2.0), 1e-9);
-}
-
-TEST(LogSpace, LogAddCommutes) {
-  EXPECT_NEAR(log_add(1.0, 3.0), log_add(3.0, 1.0), 1e-12);
-  EXPECT_NEAR(log_add(0.0, 0.0), std::log(2.0), 1e-12);
 }
 
 TEST(LogSpace, NormalizeLogWeights) {
@@ -287,31 +281,6 @@ TEST(Hmgm, SigmaConstraintsAreRespected) {
       EXPECT_LE(c.sigma[d], 1.0 + 1e-9);
     }
   }
-}
-
-TEST(Divergence, KlOfIdenticalIsZero) {
-  const Gmm g({{1.0, DiagGaussian({0, 0, 0}, {1, 1, 1})}});
-  DensityView v{[&](const Vec3& p) { return g.log_pdf(p); },
-                [&](Rng& r) { return g.sample(r); }};
-  Rng rng(47);
-  EXPECT_NEAR(mc_kl_divergence(v, v, 2000, rng), 0.0, 1e-9);
-}
-
-TEST(Divergence, KlPositiveForDifferent) {
-  const Gmm p({{1.0, DiagGaussian({0, 0, 0}, {1, 1, 1})}});
-  const Gmm q({{1.0, DiagGaussian({2, 0, 0}, {1, 1, 1})}});
-  DensityView pv{[&](const Vec3& x) { return p.log_pdf(x); },
-                 [&](Rng& r) { return p.sample(r); }};
-  DensityView qv{[&](const Vec3& x) { return q.log_pdf(x); },
-                 [&](Rng& r) { return q.sample(r); }};
-  Rng rng(53);
-  // Analytic KL between unit Gaussians 2 apart: 0.5 * 4 = 2.
-  EXPECT_NEAR(mc_kl_divergence(pv, qv, 20000, rng), 2.0, 0.15);
-}
-
-TEST(Divergence, GridRmseZeroForIdenticalFields) {
-  auto f = [](const Vec3& p) { return p.x + p.y; };
-  EXPECT_DOUBLE_EQ(grid_field_rmse(f, f, {0, 0, 0}, {1, 1, 1}, 5), 0.0);
 }
 
 }  // namespace

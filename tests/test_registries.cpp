@@ -2,13 +2,14 @@
 //
 // RegistryContract — shared by the four name registries (cimsram
 // compute backends, filter scenarios, autonomy update policies, fleet
-// admission policies), one probe per registry:
+// admission policies), one probe per registry: looking up an unknown
+// name throws std::invalid_argument whose message names the offender AND
+// lists every registered name, and every built-in looks up.
 //
-//   * looking up an unknown name throws std::invalid_argument whose
-//     message names the offender AND lists every registered name;
-//   * a duplicate register_* call is rejected as a new registration
-//     (returns false; the mapping is replaced in place) — first
-//     registrations return true.
+// BackendRegistry — the one registry that takes outside entries: a
+// duplicate register_backend call is rejected as a new registration
+// (returns false; the mapping is replaced in place) — first
+// registrations return true.
 //
 // FleetErrorContract — session/completion error paths of the fleet
 // engine, one probe per path: double-wait on a published run,
@@ -37,9 +38,6 @@ struct RegistryProbe {
   const char* label;
   std::vector<std::string> builtins;  ///< names the error must list
   std::function<void(const std::string&)> lookup;
-  std::function<std::vector<std::string>()> names;
-  /// Registers `name` (twice -> {true, false} expected).
-  std::function<bool(const std::string&)> register_name;
 };
 
 class StubBackend final : public cimsram::ComputeBackend {
@@ -59,52 +57,25 @@ RegistryProbe scenario_probe() {
   return {"scenario",
           {"indoor_loop", "corridor_dropout", "loop_closure_square",
            "warehouse_symmetry", "kidnapped_drone"},
-          [](const std::string& n) { filter::make_scenario_config(n); },
-          [] { return filter::scenario_names(); },
-          [](const std::string& n) {
-            return filter::register_scenario(
-                n, "probe", [] { return filter::ScenarioConfig{}; });
-          }};
+          [](const std::string& n) { filter::make_scenario_config(n); }};
 }
 
 RegistryProbe backend_probe() {
   return {"backend",
           {"reference", "bitsliced"},
-          [](const std::string& n) { cimsram::backend(n); },
-          [] { return cimsram::backend_names(); },
-          [](const std::string& n) {
-            // Instances must outlive the registry (process-lifetime
-            // registration); a static owner keeps them reachable so
-            // LeakSanitizer stays quiet about the intentional lifetime.
-            static std::vector<std::unique_ptr<StubBackend>> kept;
-            kept.push_back(std::make_unique<StubBackend>(n));
-            return cimsram::register_backend(kept.back().get());
-          }};
+          [](const std::string& n) { cimsram::backend(n); }};
 }
 
 RegistryProbe policy_probe() {
   return {"policy",
           {"always", "sigma_gate", "decimate"},
-          [](const std::string& n) { autonomy::make_update_policy(n); },
-          [] { return autonomy::policy_names(); },
-          [](const std::string& n) {
-            return autonomy::register_policy(
-                n, "probe", [](const autonomy::PolicyConfig& cfg) {
-                  return autonomy::make_update_policy("always", cfg);
-                });
-          }};
+          [](const std::string& n) { autonomy::make_update_policy(n); }};
 }
 
 RegistryProbe admission_probe() {
   return {"admission",
           {"fifo", "priority", "deadline", "energy_aware"},
-          [](const std::string& n) { fleet::make_admission_policy(n); },
-          [] { return fleet::admission_policy_names(); },
-          [](const std::string& n) {
-            return fleet::register_admission_policy(
-                n, "probe",
-                [] { return fleet::make_admission_policy("fifo"); });
-          }};
+          [](const std::string& n) { fleet::make_admission_policy(n); }};
 }
 
 class RegistryContract : public ::testing::TestWithParam<RegistryProbe> {};
@@ -125,27 +96,10 @@ TEST_P(RegistryContract, UnknownNameThrowsListingKnownNames) {
   }
 }
 
-TEST_P(RegistryContract, BuiltInsPresentAndLookupSucceeds) {
+TEST_P(RegistryContract, BuiltInsLookUp) {
   const RegistryProbe& probe = GetParam();
-  const auto names = probe.names();
-  for (const auto& name : probe.builtins) {
-    EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())
-        << probe.label << ": built-in '" << name << "' missing";
+  for (const auto& name : probe.builtins)
     EXPECT_NO_THROW(probe.lookup(name)) << probe.label << "/" << name;
-  }
-}
-
-TEST_P(RegistryContract, DuplicateRegistrationRejected) {
-  const RegistryProbe& probe = GetParam();
-  const std::string name = "dup_probe_" + std::string(probe.label);
-  EXPECT_TRUE(probe.register_name(name))
-      << probe.label << ": first registration must be accepted";
-  EXPECT_FALSE(probe.register_name(name))
-      << probe.label << ": duplicate must be rejected (replace, not add)";
-  // The duplicate must not have added a second entry.
-  const auto names = probe.names();
-  EXPECT_EQ(std::count(names.begin(), names.end(), name), 1)
-      << probe.label;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRegistries, RegistryContract,
@@ -155,6 +109,22 @@ INSTANTIATE_TEST_SUITE_P(AllRegistries, RegistryContract,
                          [](const auto& info) {
                            return std::string(info.param.label);
                          });
+
+TEST(BackendRegistry, DuplicateRegistrationRejected) {
+  // Instances must outlive the registry (process-lifetime registration);
+  // static owners keep them reachable so LeakSanitizer stays quiet about
+  // the intentional lifetime.
+  static StubBackend first("dup_probe_backend");
+  static StubBackend second("dup_probe_backend");
+  EXPECT_TRUE(cimsram::register_backend(&first))
+      << "first registration must be accepted";
+  EXPECT_FALSE(cimsram::register_backend(&second))
+      << "duplicate must be rejected (replace, not add)";
+  EXPECT_EQ(&cimsram::backend("dup_probe_backend"), &second);
+  // The duplicate must not have added a second entry.
+  const auto names = cimsram::backend_names();
+  EXPECT_EQ(std::count(names.begin(), names.end(), "dup_probe_backend"), 1);
+}
 
 // ---------------------------------------------------------------------------
 // Fleet session/completion error paths, in the same probe shape: one
